@@ -35,7 +35,7 @@ from repro.core import (
 from repro.errors import ReproError
 from repro.layouts import Layout, available_layouts, make_layout
 from repro.layouts.properties import PropertyReport, check_layout
-from repro.sim import CalendarEngine, HeapEngine, SimulationEngine, make_engine
+from repro.sim import SimulationEngine, make_engine
 from repro.workload import AccessSpec, ClosedLoopClient, UniformGenerator
 
 __version__ = "1.0.0"
@@ -46,8 +46,6 @@ __all__ = [
     "ArrayMode",
     "BasePermutation",
     "ClosedLoopClient",
-    "CalendarEngine",
-    "HeapEngine",
     "Layout",
     "LogicalAccess",
     "PDDLLayout",

@@ -50,7 +50,7 @@ from repro.faults.media import MediaErrorMap
 from repro.faults.oracle import IntegrityOracle
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.traffic.admission import AdmissionQueue
 from repro.traffic.arrivals import PoissonArrivals
 from repro.workload.generators import UniformGenerator
@@ -135,7 +135,7 @@ def run_corruption_trial(
         raise ConfigurationError(
             f"horizon must be positive, got {horizon_ms}"
         )
-    engine = make_engine()
+    engine = SimulationEngine()
     if layout is None:
         layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(

@@ -38,7 +38,7 @@ from repro.experiments.config import (
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import DepthTimeline, ProgressTimeline
 from repro.traffic.admission import AdmissionQueue, OverloadDetector
 from repro.traffic.arrivals import (
@@ -137,7 +137,7 @@ def run_openloop_trial(
         raise ConfigurationError(
             f"horizon must be positive, got {horizon_ms}"
         )
-    engine = make_engine()
+    engine = SimulationEngine()
     if layout is None:
         layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(

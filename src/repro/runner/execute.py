@@ -356,6 +356,22 @@ def execute_spec(spec: Spec) -> dict:
     return _finalize(executor(spec), spec)
 
 
+def _record_events(record: dict) -> int:
+    """Engine events a trial record's instrumentation block reports.
+
+    The block sits at the top level or one level down, under the
+    record's kind key (``{"nemesis_trial": {"instrumentation": ...}}``).
+    """
+    block = record.get("instrumentation")
+    if block is None:
+        block = next(
+            value["instrumentation"]
+            for value in record.values()
+            if isinstance(value, dict) and "instrumentation" in value
+        )
+    return block["engine"]["events_processed"]
+
+
 class BatchedTrialExecutor:
     """Executes trial specs with per-batch setup amortized.
 
@@ -372,10 +388,11 @@ class BatchedTrialExecutor:
     :func:`execute_spec` unchanged, so the executor is a drop-in
     replacement anywhere specs are executed one at a time.
 
-    ``events_processed`` accumulates engine event counts reported
-    out-of-band by the campaign trials (their records carry no
-    instrumentation block — record bytes stay pinned), which is what
-    the hotpath benchmark's campaign-throughput spec measures.
+    ``events_processed`` accumulates the engine event count of every
+    batched trial.  Campaign trials report theirs out-of-band (their
+    records carry no instrumentation block, so record bytes stay
+    pinned); every other batchable kind nests an ``instrumentation``
+    block one level down in its record (:func:`_record_events`).
     """
 
     #: Kinds whose trial functions accept a shared ``layout``.
@@ -420,16 +437,9 @@ class BatchedTrialExecutor:
                 spec, layout=layout, instrument_out=counters
             )
             self.events_processed += counters.get("events_processed", 0)
-        elif kind == CrashTrialSpec.kind:
-            record = _execute_crash_trial(spec, layout=layout)
-        elif kind == NemesisTrialSpec.kind:
-            record = _execute_nemesis_trial(spec, layout=layout)
-        elif kind == OpenLoopSpec.kind:
-            record = _execute_openloop(spec, layout=layout)
-        elif kind == CorruptionTrialSpec.kind:
-            record = _execute_corruption(spec, layout=layout)
         else:
-            record = _execute_failslow(spec, layout=layout)
+            record = _EXECUTORS[kind](spec, layout=layout)
+            self.events_processed += _record_events(record)
         self.trials_executed += 1
         return _finalize(record, spec)
 

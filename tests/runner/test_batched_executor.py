@@ -94,6 +94,42 @@ class TestAmortization:
         assert executor.trials_executed == 3
         assert executor.events_processed > 0
 
+    @pytest.mark.parametrize(
+        "specs, key",
+        [
+            (
+                [
+                    NemesisTrialSpec(
+                        layout="pddl", seed=11, trial=t, max_samples=60
+                    )
+                    for t in range(3)
+                ],
+                "nemesis_trial",
+            ),
+            (
+                [
+                    OpenLoopSpec(
+                        layout="pddl", rate_per_s=300.0, arrivals=60, seed=s
+                    )
+                    for s in range(3)
+                ],
+                "openloop",
+            ),
+        ],
+        ids=["nemesis", "openloop"],
+    )
+    def test_events_tally_covers_instrumented_kinds(self, specs, key):
+        # Non-campaign trials report their engine events inside the
+        # record's nested instrumentation block; the tally is their sum.
+        executor = BatchedTrialExecutor()
+        records = executor.run(specs)
+        events = [
+            r[key]["instrumentation"]["engine"]["events_processed"]
+            for r in records
+        ]
+        assert all(count > 0 for count in events)
+        assert executor.events_processed == sum(events)
+
     def test_non_batchable_kinds_fall_through(self):
         spec = ExperimentSpec(
             layout="pddl", size_kb=96, clients=8, max_samples=10

@@ -1,64 +1,109 @@
-"""Heap vs calendar-queue engine equivalence.
+"""The event engine against a list-based reference model.
 
-The two schedulers implement one contract: identical events in identical
-order, identical clocks, identical counters.  The property-based test
-interprets random scheduling programs (nested scheduling, ties, stops,
-horizons, event budgets) against both implementations and demands the
-observable state match exactly; the spec-level tests pin that whole
-experiment records — instrumentation included — are byte-identical
-under either ``REPRO_ENGINE`` setting.
+:class:`ListModel` is the contract written as plainly as possible: an
+unsorted list of ``(time, seq, callback)`` entries, popped at its
+``(time, seq)`` minimum by a linear scan.  The property tests interpret
+random scheduling programs (nested scheduling, ties, stops from inside
+callbacks, discarded stops, horizons, event budgets, power-loss
+clears) against both and demand every observable output match exactly:
+fire order and clocks, per-call return values, and the
+``events_processed`` / ``heap_high_water`` / ``pending()`` counters.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.runner import canonical_json, execute_spec
-from repro.runner.spec import ExperimentSpec, LifecycleSpec
-from repro.sim.engine import (
-    DEFAULT_ENGINE_KIND,
-    ENGINE_ENV,
-    ENGINE_KINDS,
-    CalendarEngine,
-    HeapEngine,
-    engine_kind,
-    make_engine,
-)
+from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import engine_snapshot
 
+
+class ListModel:
+    """Reference scheduler: a list scanned for its ``(time, seq)`` minimum."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events = []
+        self.seq = 0
+        self.stopped = False
+        self.events_processed = 0
+        self.heap_high_water = 0
+
+    def schedule(self, delay, callback):
+        self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time, callback):
+        self.seq += 1
+        self.events.append((time, self.seq, callback))
+        self.heap_high_water = max(self.heap_high_water, len(self.events))
+
+    def run(self, until=None, max_events=None):
+        self.stopped = False
+        processed = 0
+        while self.events and (max_events is None or processed < max_events):
+            i = min(range(len(self.events)), key=lambda j: self.events[j][:2])
+            if until is not None and self.events[i][0] > until:
+                self.now = max(self.now, until)
+                break
+            self.now, _, callback = self.events.pop(i)
+            callback()
+            processed += 1
+            self.events_processed += 1
+            if self.stopped:
+                break
+        return processed
+
+    def run_until(self, horizon):
+        return self.run(until=horizon)
+
+    def stop(self):
+        self.stopped = True
+
+    def pending(self):
+        return len(self.events)
+
+    def clear_pending(self):
+        dropped = len(self.events)
+        self.events.clear()
+        return dropped
+
+
 # Delays drawn from a small grid on purpose: collisions (equal fire
-# times) are the hard case for the calendar queue's tie-break, and a
-# continuous float strategy almost never produces them.
+# times) exercise the FIFO tie-break, and a continuous float strategy
+# almost never produces them.
 _DELAYS = st.one_of(
     st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 4.0, 7.25, 64.0, 1000.0]),
     st.floats(min_value=0.0, max_value=500.0,
               allow_nan=False, allow_infinity=False),
 )
 
-_SPAWNS = st.lists(_DELAYS, max_size=2)
+# (delay, absolute?) — absolute spawns go through schedule_at(now + delay).
+_SPAWNS = st.lists(st.tuples(_DELAYS, st.booleans()), max_size=2)
+
+# Horizon offsets from the current clock; negative ones are past
+# horizons, which must leave the clock where it is.
+_OFFSETS = st.one_of(_DELAYS, st.sampled_from([-0.5, -64.0]))
 
 _SEGMENT = st.fixed_dictionaries(
     {
-        # (delay, child-delays, stop?) — stop callbacks exercise the
+        # (delay, child spawns, stop?) — stop callbacks exercise the
         # halt-before-same-timestamp contract.
         "schedule": st.lists(
             st.tuples(_DELAYS, _SPAWNS, st.booleans()), max_size=8
         ),
+        # A stop requested before the run must be discarded.
+        "stop_first": st.booleans(),
         "run": st.one_of(
             st.just(("drain", None, None)),
-            st.tuples(st.just("until"), _DELAYS, st.none()),
-            st.tuples(
-                st.just("max"), st.none(), st.integers(0, 12)
-            ),
-            st.tuples(
-                st.just("general"), _DELAYS, st.integers(0, 12)
-            ),
+            st.tuples(st.just("until"), _OFFSETS, st.none()),
+            st.tuples(st.just("run_until"), _OFFSETS, st.none()),
+            st.tuples(st.just("max"), st.none(), st.integers(0, 12)),
+            st.tuples(st.just("general"), _OFFSETS, st.integers(0, 12)),
         ),
+        "clear": st.booleans(),
     }
 )
 
-_PROGRAM = st.lists(_SEGMENT, min_size=1, max_size=3)
+_PROGRAM = st.lists(_SEGMENT, min_size=1, max_size=4)
 
 
 def _interpret(engine, program):
@@ -68,153 +113,75 @@ def _interpret(engine, program):
     def make_callback(tag, spawns, stop):
         def callback():
             fired.append((engine.now, tag))
-            for j, delay in enumerate(spawns):
-                engine.schedule(delay, make_callback((tag, j), [], False))
+            for j, (delay, absolute) in enumerate(spawns):
+                child = make_callback((tag, j), [], False)
+                if absolute:
+                    engine.schedule_at(engine.now + delay, child)
+                else:
+                    engine.schedule(delay, child)
             if stop:
                 engine.stop()
 
         return callback
 
-    returned = []
+    outputs = []
     for index, segment in enumerate(program):
         for k, (delay, spawns, stop) in enumerate(segment["schedule"]):
             engine.schedule(delay, make_callback((index, k), spawns, stop))
+        if segment["stop_first"]:
+            engine.stop()
         mode, until, max_events = segment["run"]
+        # Horizons are absolute times; offset from the current clock so
+        # later segments still have events in range.
         if mode == "drain":
-            returned.append(engine.run())
+            returned = engine.run()
         elif mode == "until":
-            # Horizons are absolute times; offset from the current
-            # clock so later segments still have events in range.
-            returned.append(engine.run(until=engine.now + until))
+            returned = engine.run(until=engine.now + until)
+        elif mode == "run_until":
+            returned = engine.run_until(engine.now + until)
         elif mode == "max":
-            returned.append(engine.run(max_events=max_events))
+            returned = engine.run(max_events=max_events)
         else:
-            returned.append(
-                engine.run(
-                    until=engine.now + until, max_events=max_events
-                )
+            returned = engine.run(
+                until=engine.now + until, max_events=max_events
             )
-    return {
-        "fired": fired,
-        "returned": returned,
-        "snapshot": engine_snapshot(engine),
-    }
+        dropped = engine.clear_pending() if segment["clear"] else None
+        outputs.append((returned, dropped, engine_snapshot(engine)))
+    return {"fired": fired, "outputs": outputs}
 
 
 class TestProgramEquivalence:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(program=_PROGRAM)
-    def test_calendar_matches_heap_exactly(self, program):
-        heap = _interpret(HeapEngine(), program)
-        calendar = _interpret(CalendarEngine(), program)
-        assert calendar == heap
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        program=_PROGRAM,
-        width=st.sampled_from([1e-6, 0.125, 4.0, 1024.0]),
-        nbuckets=st.sampled_from([1, 16, 64]),
-    )
-    def test_equivalence_survives_degenerate_tuning(
-        self, program, width, nbuckets
-    ):
-        # Pathological widths force the resize / scan-debt / sparse
-        # overflow paths; none of them may reorder a single event.
-        heap = _interpret(HeapEngine(), program)
-        calendar = _interpret(
-            CalendarEngine(width=width, nbuckets=nbuckets), program
+    def test_engine_matches_reference_model(self, program):
+        assert _interpret(SimulationEngine(), program) == _interpret(
+            ListModel(), program
         )
-        assert calendar == heap
 
     @settings(max_examples=50, deadline=None)
     @given(program=_PROGRAM)
     def test_clear_pending_drops_the_same_events(self, program):
-        engines = (HeapEngine(), CalendarEngine())
         outputs = []
-        for engine in engines:
+        for engine in (SimulationEngine(), ListModel()):
             _interpret(engine, program)
             dropped = engine.clear_pending()
-            outputs.append((dropped, engine.pending(), engine.run()))
+            outputs.append(
+                (dropped, engine.pending(), engine.run(), engine_snapshot(engine))
+            )
         assert outputs[0] == outputs[1]
 
 
-class TestSelectionKnob:
-    def test_registry_covers_both_engines(self):
-        assert ENGINE_KINDS == {"heap": HeapEngine, "calendar": CalendarEngine}
-        assert DEFAULT_ENGINE_KIND in ENGINE_KINDS
-
-    def test_env_knob_selects_engine(self, monkeypatch):
-        for kind, engine_cls in ENGINE_KINDS.items():
-            monkeypatch.setenv(ENGINE_ENV, kind)
-            assert engine_kind() == kind
-            assert type(make_engine()) is engine_cls
-
-    def test_explicit_kind_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "heap")
-        assert type(make_engine("calendar")) is CalendarEngine
-
-    def test_unset_env_means_default(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert engine_kind() == DEFAULT_ENGINE_KIND
-
-    def test_unknown_kind_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "fibonacci")
-        with pytest.raises(ConfigurationError, match="fibonacci"):
-            engine_kind()
-        monkeypatch.delenv(ENGINE_ENV)
-        with pytest.raises(ConfigurationError, match="splay"):
-            make_engine("splay")
-
-
-def _record_under(monkeypatch, kind, spec):
-    monkeypatch.setenv(ENGINE_ENV, kind)
-    return execute_spec(spec)
-
-
 class TestInstrumentationIdentity:
-    """Whole records — instrumentation blocks included — must not
-    depend on the engine implementation."""
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ExperimentSpec(
-                layout="pddl", size_kb=96, clients=8, max_samples=40
-            ),
-            ExperimentSpec(
-                layout="raid5",
-                size_kb=8,
-                clients=25,
-                max_samples=40,
-                mode="f1",
-            ),
-            LifecycleSpec(
-                layout="pddl",
-                size_kb=24,
-                clients=4,
-                fault_time_ms=500.0,
-                degraded_dwell_ms=300.0,
-                rebuild_rows=26,
-                post_samples=20,
-                max_samples=60,
-            ),
-        ],
-        ids=["response-ff", "response-f1", "lifecycle"],
-    )
-    def test_records_byte_identical_across_engines(self, monkeypatch, spec):
-        heap = _record_under(monkeypatch, "heap", spec)
-        calendar = _record_under(monkeypatch, "calendar", spec)
-        assert canonical_json(heap) == canonical_json(calendar)
-        # The instrumentation block is what golden traces do NOT cover
-        # per engine — make its identity explicit, not incidental.
-        assert heap["instrumentation"] == calendar["instrumentation"]
-        assert heap["instrumentation"]["engine"]["events_processed"] > 0
-
     def test_engine_snapshot_fields_match(self):
-        heap, calendar = HeapEngine(), CalendarEngine()
-        for engine in (heap, calendar):
-            engine.schedule(2.0, lambda: None)
-            engine.schedule(2.0, lambda: None)
-            engine.schedule(9.0, lambda: None)
-            engine.run(until=5.0)
-        assert engine_snapshot(heap) == engine_snapshot(calendar)
+        engine, model = SimulationEngine(), ListModel()
+        for scheduler in (engine, model):
+            scheduler.schedule(2.0, lambda: None)
+            scheduler.schedule(2.0, lambda: None)
+            scheduler.schedule(9.0, lambda: None)
+            scheduler.run(until=5.0)
+        assert engine_snapshot(engine) == engine_snapshot(model) == {
+            "events_processed": 2,
+            "heap_high_water": 3,
+            "pending": 1,
+            "now_ms": 5.0,
+        }
