@@ -36,15 +36,24 @@ for layouts without sparing it lives at the original address on a
 
 Post-reconstruction mode (PDDL's distributed sparing): lost units have been
 rebuilt into the same-row spare units, so accesses are simply redirected.
+
+Writes are planned on each stripe's cached in-period cells
+(:meth:`~repro.layouts.base.Layout.stripe_units_and_shift`): layouts are
+periodic, so a global stripe's members sit on the disks of its in-period
+stripe at offsets shifted by ``cycle * period``, and relocation keeps a
+cell in its own cycle.  The failed-disk member, the rebuild-frontier
+test and the degraded variants are decided on in-period cells; the shift
+is added only as each :class:`UnitOp` is built, so a write plan
+allocates nothing but the ops it returns.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress
+from repro.layouts.address import PhysicalAddress, StripeUnits
 from repro.layouts.base import Layout
 
 
@@ -133,7 +142,6 @@ def plan_access(
             f"{layout.name} has no spare space for post-reconstruction mode"
         )
 
-    units = range(first_unit, first_unit + unit_count)
     if not is_write and mode is ArrayMode.FAULT_FREE:
         # Hot path (the vast majority of Figure 5/6 traffic): straight
         # translation.  The data-unit mapping is injective — distinct
@@ -142,11 +150,10 @@ def plan_access(
         return AccessPlan(
             phases=[[UnitOp(d, o, False) for d, o in cells]]
         )
-    if is_write:
-        plan = _plan_write(layout, units, mode, failed_disk, rebuilt)
-    else:
-        plan = _plan_read(layout, units, mode, failed_disk, rebuilt)
-    return _dedupe(plan)
+    planner = _plan_write if is_write else _plan_read
+    return _dedupe(
+        planner(layout, first_unit, unit_count, mode, failed_disk, rebuilt)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -156,13 +163,14 @@ def plan_access(
 
 def _plan_read(
     layout: Layout,
-    units: range,
+    first_unit: int,
+    unit_count: int,
     mode: ArrayMode,
     failed_disk: Optional[int],
     rebuilt: Optional[RebuiltPredicate],
-) -> AccessPlan:
+) -> List[List[UnitOp]]:
     ops: List[UnitOp] = []
-    for unit in units:
+    for unit in range(first_unit, first_unit + unit_count):
         addr = layout.data_unit_address(unit)
         if addr.disk != failed_disk:
             ops.append(UnitOp(addr.disk, addr.offset, False))
@@ -181,7 +189,7 @@ def _plan_read(
             for other in layout.stripe_units(stripe).all_units():
                 if other.disk != failed_disk:
                     ops.append(UnitOp(other.disk, other.offset, False))
-    return AccessPlan(phases=[ops])
+    return [ops]
 
 
 # ----------------------------------------------------------------------
@@ -189,188 +197,113 @@ def _plan_read(
 # ----------------------------------------------------------------------
 
 
-def _stripe_groups(
-    layout: Layout, units: range
-) -> Dict[int, List[Tuple[int, int]]]:
-    """Group accessed units by stripe: stripe -> [(position, unit), ...]."""
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for unit in units:
-        stripe = layout.stripe_of_data_unit(unit)
-        position = unit % layout.data_per_stripe
-        groups.setdefault(stripe, []).append((position, unit))
-    return groups
+def _member_on(units: StripeUnits, disk: int) -> Optional[Tuple[int, int]]:
+    """``(position, row)`` of the stripe member on ``disk``, or None.
 
-
-def _redirect(
-    layout: Layout, addr: PhysicalAddress, mode: ArrayMode, failed: Optional[int]
-) -> PhysicalAddress:
-    if mode is ArrayMode.POST_RECONSTRUCTION and addr.disk == failed:
-        return layout.relocation_target(addr)
-    return addr
+    Positions count data members first, then check members (the
+    :class:`~repro.layouts.address.UnitInfo` convention).  A stripe
+    never places two members on one disk, and a member's disk is the
+    same in every cycle, so the in-period cells decide for all cycles.
+    """
+    for position, (member_disk, row) in enumerate(units.data + units.check):
+        if member_disk == disk:
+            return position, row
+    return None
 
 
 def _plan_write(
     layout: Layout,
-    units: range,
+    first_unit: int,
+    unit_count: int,
     mode: ArrayMode,
     failed_disk: Optional[int],
     rebuilt: Optional[RebuiltPredicate],
-) -> AccessPlan:
-    pre_reads: List[UnitOp] = []
-    writes: List[UnitOp] = []
-    for stripe, touched in _stripe_groups(layout, units).items():
-        stripe_units = layout.stripe_units(stripe)
-        written_positions = {position for position, _ in touched}
-        stripe_mode = mode
-        if mode is ArrayMode.RECONSTRUCTION:
-            # Per-stripe: behind the rebuild frontier the stripe behaves
-            # post-reconstruction (spare redirect), ahead of it degraded.
-            lost = next(
-                (
-                    a
-                    for a in stripe_units.all_units()
-                    if a.disk == failed_disk
-                ),
-                None,
-            )
-            if lost is None or rebuilt(lost.offset):
-                # Spare redirect with sparing; the replacement spindle
-                # serves the original addresses without.
-                stripe_mode = (
-                    ArrayMode.POST_RECONSTRUCTION
-                    if layout.has_sparing
-                    else ArrayMode.FAULT_FREE
-                )
-            else:
-                stripe_mode = ArrayMode.DEGRADED
-        if stripe_mode is ArrayMode.DEGRADED:
-            reads, wr = _plan_stripe_write_degraded(
-                layout, stripe_units, written_positions, failed_disk
-            )
-        else:
-            reads, wr = _plan_stripe_write_clean(
-                layout, stripe_units, written_positions, stripe_mode,
-                failed_disk,
-            )
-        pre_reads.extend(reads)
-        writes.extend(wr)
-    if pre_reads:
-        return AccessPlan(phases=[pre_reads, writes])
-    return AccessPlan(phases=[writes])
+) -> List[List[UnitOp]]:
+    """Phases of a write, planned on each stripe's in-period cells.
 
-
-def _plan_stripe_write_clean(
-    layout: Layout,
-    stripe_units,
-    written: Set[int],
-    mode: ArrayMode,
-    failed: Optional[int],
-) -> Tuple[List[UnitOp], List[UnitOp]]:
-    """Fault-free and post-reconstruction stripe write planning."""
+    A contiguous access writes data positions ``[lo, hi)`` of every
+    stripe it touches.  Each stripe's cells come from the layout's
+    cached in-period stripe; the stripe's offset shift is added only as
+    each op is built.
+    """
     dps = layout.data_per_stripe
-    m = len(written)
-
-    def addr(a: PhysicalAddress) -> PhysicalAddress:
-        return _redirect(layout, a, mode, failed)
-
-    check = [addr(a) for a in stripe_units.check]
-    reads: List[UnitOp] = []
-    writes: List[UnitOp] = [
-        UnitOp(*addr(stripe_units.data[p]), True) for p in sorted(written)
-    ]
-    if m == dps:
-        # Full-stripe write: parity computed from new data alone.
-        writes.extend(UnitOp(*a, True) for a in check)
-    elif m <= dps // 2:
-        # Small write: read old data + old parity.
-        reads.extend(
-            UnitOp(*addr(stripe_units.data[p]), False) for p in sorted(written)
-        )
-        reads.extend(UnitOp(*a, False) for a in check)
-        writes.extend(UnitOp(*a, True) for a in check)
-    else:
-        # Large (reconstruct) write: read the untouched data units.
-        reads.extend(
-            UnitOp(*addr(stripe_units.data[p]), False)
-            for p in range(dps)
-            if p not in written
-        )
-        writes.extend(UnitOp(*a, True) for a in check)
-    return reads, writes
-
-
-def _plan_stripe_write_degraded(
-    layout: Layout,
-    stripe_units,
-    written: Set[int],
-    failed: int,
-) -> Tuple[List[UnitOp], List[UnitOp]]:
-    """Degraded-mode stripe write planning (§4.2's forced large writes)."""
-    dps = layout.data_per_stripe
-    m = len(written)
-    check_failed = any(a.disk == failed for a in stripe_units.check)
-    failed_data_position = next(
-        (
-            p
-            for p in range(dps)
-            if stripe_units.data[p].disk == failed
-        ),
-        None,
+    in_period = layout.stripe_units_and_shift
+    # Behind the rebuild frontier a stripe with sparing behaves
+    # post-reconstruction (spare redirect); without sparing the
+    # replacement spindle serves the original addresses.
+    redirect = mode is ArrayMode.POST_RECONSTRUCTION or (
+        mode is ArrayMode.RECONSTRUCTION and layout.has_sparing
     )
-
+    end = first_unit + unit_count
     reads: List[UnitOp] = []
-    writes: List[UnitOp] = [
-        UnitOp(*stripe_units.data[p], True)
-        for p in sorted(written)
-        if stripe_units.data[p].disk != failed
-    ]
+    writes: List[UnitOp] = []
+    for stripe in range(first_unit // dps, (end - 1) // dps + 1):
+        units, shift = in_period(stripe)
+        data, check = units.data, units.check
+        start = stripe * dps
+        lo = first_unit - start if first_unit > start else 0
+        hi = end - start if end - start < dps else dps
+        # Small (read-modify-write) at most half the data units, large
+        # (reconstruct) write above; a full-stripe write is a large
+        # write with nothing left to read.
+        small = hi - lo <= dps // 2
+        skip = None
+        lost = None if failed_disk is None else _member_on(units, failed_disk)
+        if lost is not None:
+            position, row = lost
+            if mode is ArrayMode.DEGRADED or (
+                mode is ArrayMode.RECONSTRUCTION and not rebuilt(row + shift)
+            ):
+                # §4.2's degraded variants.
+                skip = failed_disk
+                if position >= dps:
+                    # Parity lost: write the surviving data, nothing to
+                    # maintain.
+                    writes += [
+                        UnitOp(d, o + shift, True) for d, o in data[lo:hi]
+                    ]
+                    continue
+                # A lost written unit forces a large write (every
+                # untouched unit survives); a lost untouched unit forces
+                # a small one (its old value is unreadable, but the
+                # parity delta needs only written units and parity).
+                small = not lo <= position < hi
+                if small and hi - lo == dps:  # unreachable: all are written
+                    raise MappingError("inconsistent degraded write planning")
+            elif redirect:
+                # Rebuilt into the same-row spare cell; stored relative
+                # to the stripe's cycle like every other in-period cell.
+                target = layout.relocation_target(
+                    PhysicalAddress(failed_disk, row + shift)
+                )
+                cell = (target.disk, target.offset - shift)
+                if position < dps:
+                    data = data.copy()
+                    data[position] = cell
+                else:
+                    check = check.copy()
+                    check[position - dps] = cell
+        written = data[lo:hi]
+        writes += [
+            UnitOp(d, o + shift, True) for d, o in written if d != skip
+        ]
+        if small:
+            reads += [UnitOp(d, o + shift, False) for d, o in written]
+            reads += [UnitOp(d, o + shift, False) for d, o in check]
+        else:
+            reads += [
+                UnitOp(d, o + shift, False) for d, o in data[:lo] + data[hi:]
+            ]
+        writes += [UnitOp(d, o + shift, True) for d, o in check]
+    return [reads, writes] if reads else [writes]
 
-    if check_failed:
-        # Parity lost: write the surviving data units, nothing to maintain.
-        return reads, writes
 
-    check_writes = [UnitOp(*a, True) for a in stripe_units.check]
-    if failed_data_position is None:
-        # Stripe untouched by the failure: plan as fault-free.
-        return _plan_stripe_write_clean(
-            layout, stripe_units, written, ArrayMode.FAULT_FREE, None
-        )
-    if failed_data_position in written:
-        # Lost unit is being overwritten: forced large write — read every
-        # untouched data unit (all survive), fold in the new data, write
-        # survivors + parity.
-        reads.extend(
-            UnitOp(*stripe_units.data[p], False)
-            for p in range(dps)
-            if p not in written
-        )
-        writes.extend(check_writes)
-    else:
-        # Lost unit is untouched: forced small write — its old value is
-        # unreadable, but the parity delta needs only old data of written
-        # units plus old parity, all of which survive.
-        reads.extend(
-            UnitOp(*stripe_units.data[p], False) for p in sorted(written)
-        )
-        reads.extend(UnitOp(*a, False) for a in stripe_units.check)
-        writes.extend(check_writes)
-        if m == dps:  # unreachable guard: failed unit would be in `written`
-            raise MappingError("inconsistent degraded write planning")
-    return reads, writes
-
-
-def _dedupe(plan: AccessPlan) -> AccessPlan:
-    """Drop duplicate operations within each phase, preserving order."""
-    phases: List[List[UnitOp]] = []
-    for phase in plan.phases:
-        if len(phase) < 2:
-            phases.append(phase)
-            continue
-        seen: Set[UnitOp] = set()
-        unique: List[UnitOp] = []
-        for op in phase:
-            if op not in seen:
-                seen.add(op)
-                unique.append(op)
-        phases.append(unique)
-    return AccessPlan(phases=phases)
+def _dedupe(phases: List[List[UnitOp]]) -> AccessPlan:
+    """The plan of ``phases`` with duplicate operations dropped within
+    each phase, preserving order."""
+    return AccessPlan(
+        [
+            list(dict.fromkeys(phase)) if len(phase) > 1 else phase
+            for phase in phases
+        ]
+    )

@@ -281,8 +281,6 @@ class DiskDrive:
         self.head = 0
         self._buffered_track = None  # (cylinder, head) of the cached track
         self.buffer_hits = 0
-        self.ops_serviced = 0
-        self.busy_ms = 0.0
         #: Optional transient-failure injection; None (the default) draws
         #: nothing and keeps service byte-identical to an error-free drive.
         self.transient_errors: Optional[TransientErrorModel] = None
@@ -304,8 +302,6 @@ class DiskDrive:
         self.head = 0
         self._buffered_track = None
         self.buffer_hits = 0
-        self.ops_serviced = 0
-        self.busy_ms = 0.0
 
     def _rotational_wait(self, now_ms: float, sector: int, spt: int) -> float:
         """Time until ``sector`` passes under the head, from ``now_ms``."""
@@ -365,8 +361,6 @@ class DiskDrive:
             if self.transient_errors is not None
             else False
         )
-        self.ops_serviced += 1
-        self.busy_ms += seek_ms + latency_ms + transfer_ms
         return ServiceRecord(
             seek_ms,
             latency_ms,
@@ -404,8 +398,6 @@ class DiskDrive:
                 and (last.cylinder, last.head) == self._buffered_track
             ):
                 self.buffer_hits += 1
-                self.ops_serviced += 1
-                self.busy_ms += self.buffer_hit_ms
                 return ServiceRecord(
                     seek_ms=0.0,
                     latency_ms=0.0,
@@ -478,8 +470,6 @@ class DiskDrive:
                 self._buffered_track = None
             else:
                 self._buffered_track = (cylinder, head)
-        self.ops_serviced += 1
-        self.busy_ms += seek_ms + latency_ms + transfer_ms
         return ServiceRecord(
             seek_ms=seek_ms,
             latency_ms=latency_ms,

@@ -152,8 +152,18 @@ class Layout(abc.ABC):
             self._consts = consts
         return consts
 
-    def stripe_units(self, stripe_id: int) -> StripeUnits:
-        """Physical cells of a global stripe (period-extended)."""
+    def stripe_units_and_shift(
+        self, stripe_id: int
+    ) -> Tuple[StripeUnits, int]:
+        """A global stripe as its cached in-period cells plus a shift.
+
+        Layouts are periodic: global stripe ``cycle * stripes_per_period
+        + index`` sits on the disks of in-period stripe ``index``, at
+        offsets ``cycle * period`` further down.  Returns that in-period
+        :class:`StripeUnits` (shared and cached — do not mutate it) and
+        the offset shift ``cycle * period``; a caller adds the shift to
+        each offset it uses instead of materialising shifted addresses.
+        """
         if stripe_id < 0:
             raise MappingError(f"negative stripe id {stripe_id}")
         period, stripes_per_period, _ = self._layout_consts()
@@ -162,14 +172,18 @@ class Layout(abc.ABC):
         if base is None:
             base = self.stripe_units_in_period(index)
             self._stripe_cache[index] = base
-        if cycle == 0:
+        return base, cycle * period
+
+    def stripe_units(self, stripe_id: int) -> StripeUnits:
+        """Physical cells of a global stripe (period-extended)."""
+        base, shift = self.stripe_units_and_shift(stripe_id)
+        if shift == 0:
             return base
         shifted_cache = self._shifted_cache
         shifted = shifted_cache.get(stripe_id)
         if shifted is not None:
             shifted_cache.move_to_end(stripe_id)
             return shifted
-        shift = cycle * period
         shifted = StripeUnits(
             data=[PhysicalAddress(d, o + shift) for d, o in base.data],
             check=[PhysicalAddress(d, o + shift) for d, o in base.check],

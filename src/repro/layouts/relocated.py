@@ -66,6 +66,7 @@ class RelocatedView:
                 )
             inverse[(target.disk, target.offset % base.period)] = row
         self._spare_source = inverse
+        self._stripe_cache: Dict[int, StripeUnits] = {}
 
     # ------------------------------------------------------------------
     # Geometry (delegated).
@@ -120,6 +121,14 @@ class RelocatedView:
             return target.disk, target.offset
         return disk, offset
 
+    def data_unit_cells(
+        self, first_unit: int, count: int
+    ) -> List[Tuple[int, int]]:
+        return [
+            self.data_unit_cell(unit)
+            for unit in range(first_unit, first_unit + count)
+        ]
+
     def data_unit_address(self, unit: int) -> PhysicalAddress:
         return PhysicalAddress(*self.data_unit_cell(unit))
 
@@ -128,6 +137,25 @@ class RelocatedView:
 
     def data_units_of_stripe(self, stripe_id: int) -> range:
         return self.base.data_units_of_stripe(stripe_id)
+
+    def stripe_units_and_shift(
+        self, stripe_id: int
+    ) -> Tuple[StripeUnits, int]:
+        """The base layout's in-period stripe with the relocated disk's
+        cell redirected, cached per in-period index, plus the offset
+        shift.  Sound because a relocation target lies in its source's
+        period cycle, so redirecting commutes with the cycle shift."""
+        units, shift = self.base.stripe_units_and_shift(stripe_id)
+        index = stripe_id % self.base.stripes_per_period
+        cached = self._stripe_cache.get(index)
+        if cached is None:
+            redirect = self._redirect
+            cached = StripeUnits(
+                data=[redirect(a) for a in units.data],
+                check=[redirect(a) for a in units.check],
+            )
+            self._stripe_cache[index] = cached
+        return cached, shift
 
     def stripe_units(self, stripe_id: int) -> StripeUnits:
         units = self.base.stripe_units(stripe_id)

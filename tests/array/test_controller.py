@@ -3,7 +3,7 @@
 import pytest
 
 from repro.array.controller import ArrayController, LogicalAccess
-from repro.array.raidops import ArrayMode
+from repro.array.raidops import ArrayMode, plan_access
 from repro.errors import ConfigurationError, SimulationError
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
@@ -125,6 +125,28 @@ class TestFailureModes:
         assert controller.mode is ArrayMode.POST_RECONSTRUCTION
         run_one(engine, controller, LogicalAccess(1, 0, 12, False))
         assert controller.servers[0].stats.operations == 0
+
+    def test_fault_free_read_after_relocated_second_repair(self):
+        """A second failure survived after a distributed-sparing rebuild
+        leaves a ``RelocatedView`` as the planning layout; once that
+        repair finishes the array is fault-free again and reads must
+        plan through the view (fused path and planner alike)."""
+        engine, controller = build()
+        controller.fail_disk(3)
+        controller.enter_reconstruction(lambda offset: True)
+        controller.finish_reconstruction()
+        controller.relocate_and_fail(5)
+        controller.install_replacement()
+        controller.enter_reconstruction(lambda offset: True)
+        controller.finish_reconstruction()
+        assert controller.mode is ArrayMode.FAULT_FREE
+        run_one(engine, controller, LogicalAccess(1, 0, 12, False))
+        assert controller.servers[3].stats.operations == 0
+        view = controller.plan_layout
+        plan = plan_access(view, 0, 12, is_write=False)
+        assert [(op.disk, op.offset) for op in plan.all_ops()] == [
+            tuple(view.data_unit_address(u)) for u in range(12)
+        ]
 
     def test_finish_without_failure_rejected(self):
         engine, controller = build()
