@@ -327,6 +327,69 @@ class _InFlight:
 _FUSED_READ_PLAN = AccessPlan(phases=[[]])
 
 
+def coalesce_phase(
+    ops,
+    is_write: bool,
+    unit_sectors: int,
+    access_id: int,
+    tag: object,
+    merge: bool,
+) -> List[Tuple[int, DiskRequest]]:
+    """``(disk, request)`` pairs for one phase of distinct ``(disk,
+    offset, ...)`` stripe-unit operations, all reads or all writes.
+
+    With ``merge`` (RAIDframe-style coalescing) the ops are grouped by
+    disk in first-occurrence order, each group's offsets sorted, and
+    physically contiguous runs merged into one request; without it each
+    op is its own request, in phase order.  Every phase the planner
+    emits is single-direction, so grouping by disk is grouping by
+    ``(disk, is_write)``.
+    """
+    if not merge or len(ops) == 1:
+        return [
+            (
+                op[0],
+                DiskRequest(
+                    op[1] * unit_sectors,
+                    unit_sectors,
+                    is_write,
+                    access_id,
+                    tag,
+                ),
+            )
+            for op in ops
+        ]
+    by_disk: Dict[int, List[int]] = {}
+    get = by_disk.get
+    for op in ops:
+        offsets = get(op[0])
+        if offsets is None:
+            by_disk[op[0]] = [op[1]]
+        else:
+            offsets.append(op[1])
+    requests = []
+    append = requests.append
+    for disk, offsets in by_disk.items():
+        if len(offsets) == 1:
+            # Declustered layouts put most ops on a disk of their own.
+            lba = offsets[0] * unit_sectors
+            request = DiskRequest(lba, unit_sectors, is_write, access_id, tag)
+            append((disk, request))
+            continue
+        offsets.sort()
+        offsets.append(offsets[-1] + 2)  # a sentinel that ends the last run
+        start = previous = offsets[0]
+        for offset in offsets:
+            if offset > previous + 1:
+                lba = start * unit_sectors
+                sectors = (previous - start + 1) * unit_sectors
+                request = DiskRequest(lba, sectors, is_write, access_id, tag)
+                append((disk, request))
+                start = offset
+            previous = offset
+    return requests
+
+
 class DiskServer:
     """One drive + queue + busy state, attached to the engine.
 
@@ -377,13 +440,6 @@ class DiskServer:
         self._schedule = engine.schedule
         self._squeue = scheduler._queue
         self._direct_service = scheduler.pops_lone_item_fifo
-
-    def _note_depth(self, delta: int) -> None:
-        self.queue_depth += delta
-        if self.queue_depth > self.queue_high_water:
-            self.queue_high_water = self.queue_depth
-        if self.queue_timeline is not None:
-            self.queue_timeline.append((self.engine.now, self.queue_depth))
 
     def submit(self, request: DiskRequest) -> None:
         if self.failed:
@@ -817,8 +873,11 @@ class ArrayController:
         """Install (or remove) tail-tolerant hedged reads.
 
         Installing a policy attaches a :class:`SlowDiskDetector` and
-        disables the fused fault-free read path (hedges need the
-        per-op completion bookkeeping that path skips).
+        sends fault-free reads through the planner and
+        :meth:`_launch_phase` instead of the fused read in
+        :meth:`submit`: a hedge needs each op's submit time and a hedge
+        timer, and only :meth:`_launch_phase` records them.  Both paths
+        build their requests with :func:`coalesce_phase`.
         """
         self.hedge_policy = policy
         self.slow_disk_detector = (
@@ -941,6 +1000,12 @@ class ArrayController:
                 )
                 + "; no further accesses can be submitted"
             )
+        # Checked before the fused read, which bypasses plan_access's
+        # checks: a zero-unit read would never complete.
+        if access.unit_count < 1 or access.first_unit < 0:
+            raise ConfigurationError(
+                f"access needs >= 1 unit from a start >= 0, got {access}"
+            )
         if (
             not access.is_write
             and self.mode is ArrayMode.FAULT_FREE
@@ -948,111 +1013,20 @@ class ArrayController:
             and self.hedge_policy is None
         ):
             # Fused fault-free read (the dominant hot path): one phase,
-            # straight translation, no recovery bookkeeping.  Build the
-            # per-disk requests directly from the flat cell table,
-            # skipping the plan/UnitOp/phase machinery.  Byte-identical
-            # to the general path: the planner's fault-free branch emits
-            # exactly one op per unit in cell order, and the coalescer
-            # groups ops by disk in first-occurrence order, sorts each
-            # group's offsets, and merges physically contiguous runs —
-            # which is exactly what this loop does (reads only, so the
-            # (disk, is_write) group key degenerates to the disk).
-            cells = self._plan_layout.data_unit_cells(
-                access.first_unit, access.unit_count
+            # straight translation, no recovery bookkeeping.  Requests
+            # are coalesced straight from the flat cell table, skipping
+            # the plan/UnitOp/phase machinery — the planner's fault-free
+            # branch emits exactly one op per cell, in cell order.
+            requests = coalesce_phase(
+                self._plan_layout.data_unit_cells(
+                    access.first_unit, access.unit_count
+                ),
+                False,
+                self.stripe_unit_sectors,
+                access.access_id,
+                0,
+                self.coalesce,
             )
-            unit_sectors = self.stripe_unit_sectors
-            access_id = access.access_id
-            requests = []
-            append = requests.append
-            if len(cells) == 1:
-                # Single-unit access (the small-request workloads):
-                # grouping and merging are identity operations.
-                disk, offset = cells[0]
-                append(
-                    (
-                        disk,
-                        DiskRequest(
-                            offset * unit_sectors,
-                            unit_sectors,
-                            False,
-                            access_id,
-                            0,
-                        ),
-                    )
-                )
-            elif not self.coalesce:
-                for disk, offset in cells:
-                    append(
-                        (
-                            disk,
-                            DiskRequest(
-                                offset * unit_sectors,
-                                unit_sectors,
-                                False,
-                                access_id,
-                                0,
-                            ),
-                        )
-                    )
-            else:
-                by_disk: Dict[int, List[int]] = {}
-                get = by_disk.get
-                for disk, offset in cells:
-                    offsets = get(disk)
-                    if offsets is None:
-                        by_disk[disk] = [offset]
-                    else:
-                        offsets.append(offset)
-                for disk, offsets in by_disk.items():
-                    if len(offsets) == 1:
-                        append(
-                            (
-                                disk,
-                                DiskRequest(
-                                    offsets[0] * unit_sectors,
-                                    unit_sectors,
-                                    False,
-                                    access_id,
-                                    0,
-                                ),
-                            )
-                        )
-                        continue
-                    offsets.sort()
-                    run_start = offsets[0]
-                    previous = offsets[0]
-                    for i in range(1, len(offsets)):
-                        offset = offsets[i]
-                        if offset == previous + 1:
-                            previous = offset
-                            continue
-                        append(
-                            (
-                                disk,
-                                DiskRequest(
-                                    run_start * unit_sectors,
-                                    (previous - run_start + 1)
-                                    * unit_sectors,
-                                    False,
-                                    access_id,
-                                    0,
-                                ),
-                            )
-                        )
-                        run_start = offset
-                        previous = offset
-                    append(
-                        (
-                            disk,
-                            DiskRequest(
-                                run_start * unit_sectors,
-                                (previous - run_start + 1) * unit_sectors,
-                                False,
-                                access_id,
-                                0,
-                            ),
-                        )
-                    )
             state = _InFlight(
                 access=access,
                 plan=_FUSED_READ_PLAN,
@@ -1060,7 +1034,7 @@ class ArrayController:
                 on_complete=on_complete,
             )
             state.outstanding = len(requests)
-            self._in_flight[access_id] = state
+            self._in_flight[access.access_id] = state
             servers = self.servers
             for disk, request in requests:
                 servers[disk].submit(request)
@@ -1146,7 +1120,14 @@ class ArrayController:
         if not phase:
             self._advance(state)
             return
-        requests = self._phase_requests(state, phase)
+        requests = coalesce_phase(
+            phase,
+            phase[0].is_write,
+            self.stripe_unit_sectors,
+            state.access.access_id,
+            state.phase,
+            self.coalesce,
+        )
         # A disk can fail *between* an access's phases: operations the
         # pre-failure plan aimed at the now-dead disk are dropped (the
         # controller of a real array would re-plan; response-time-wise the
@@ -1170,105 +1151,6 @@ class ArrayController:
             for disk, request in live:
                 if not request.is_write:
                     self._arm_hedge(disk, request)
-
-    def _phase_requests(self, state: _InFlight, phase):
-        """Build per-disk requests, merging physically contiguous
-        stripe-unit operations of the same type (RAIDframe-style
-        coalescing) when enabled."""
-        unit_sectors = self.stripe_unit_sectors
-        access_id = state.access.access_id
-        tag = state.phase
-        if not self.coalesce:
-            return [
-                (
-                    op[0],
-                    DiskRequest(
-                        op[1] * unit_sectors,
-                        unit_sectors,
-                        op[2],
-                        access_id,
-                        tag,
-                    ),
-                )
-                for op in phase
-            ]
-        # Fast path: when no (disk, is_write) pair repeats there is
-        # nothing to merge — emit one request per op in phase order,
-        # which is exactly what the grouping below would produce (each
-        # group has one member, and dict insertion order == phase
-        # order).  Declustered layouts land almost every phase here.
-        # Built in a single pass; the partial list is discarded on the
-        # first repeated pair.
-        seen = set()
-        add = seen.add
-        requests = []
-        append = requests.append
-        distinct = True
-        for disk, offset, is_write in phase:
-            pair = (disk, is_write)
-            if pair in seen:
-                distinct = False
-                break
-            add(pair)
-            append(
-                (
-                    disk,
-                    DiskRequest(
-                        offset * unit_sectors,
-                        unit_sectors,
-                        is_write,
-                        access_id,
-                        tag,
-                    ),
-                )
-            )
-        if distinct:
-            return requests
-        by_disk: Dict[tuple, List[int]] = {}
-        for op in phase:
-            by_disk.setdefault((op.disk, op.is_write), []).append(op.offset)
-        requests = []
-        for (disk, is_write), offsets in by_disk.items():
-            if len(offsets) == 1:
-                # Declustered layouts land almost every op on its own
-                # disk: nothing to merge.
-                requests.append(
-                    (
-                        disk,
-                        DiskRequest(
-                            offsets[0] * unit_sectors,
-                            unit_sectors,
-                            is_write,
-                            access_id,
-                            tag,
-                        ),
-                    )
-                )
-                continue
-            offsets.sort()
-            run_start = offsets[0]
-            previous = offsets[0]
-            for offset in offsets[1:] + [None]:
-                if offset is not None and offset == previous + 1:
-                    previous = offset
-                    continue
-                length = previous - run_start + 1
-                requests.append(
-                    (
-                        disk,
-                        DiskRequest(
-                            run_start * unit_sectors,
-                            length * unit_sectors,
-                            is_write,
-                            access_id,
-                            tag,
-                        ),
-                    )
-                )
-                if offset is not None:
-                    run_start = offset
-                    previous = offset
-        return requests
 
     def submit_raw(
         self,

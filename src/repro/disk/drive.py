@@ -8,6 +8,12 @@ cylinder (ideal track skew assumed: no extra rotational wait after a
 switch).  The platter spins continuously, so rotational latency is derived
 from absolute time, which is what couples queueing order to service time and
 makes SSTF matter.
+
+There is one service path, :meth:`DiskDrive.service`, for every drive
+configuration (track buffer, fail-slow, transient errors).  Its
+state-independent arithmetic is precomputed in :class:`ServiceTables`
+with plain scalar loops; ``tests/disk/reference_drive.py`` keeps the
+per-request geometry walk as the reference model it is tested against.
 """
 
 from __future__ import annotations
@@ -18,11 +24,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.disk.geometry import DiskGeometry
 from repro.disk.seek import SeekModel
 from repro.errors import ConfigurationError
-
-try:  # numpy accelerates table precomputation; the scalar fallback is exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 class DiskRequest(NamedTuple):
@@ -103,22 +104,22 @@ class ServiceTables:
     once and shared by all drives of an array — and across arrays, and
     across Monte-Carlo trials in one process:
 
-    - ``seek_by_distance``: the seek curve flattened to one list indexed
-      by cylinder distance, evaluated in a single numpy vector sweep
-      (``single + alpha*sqrt(d-1) + beta*(d-1)`` elementwise, which is
-      IEEE-identical to the scalar evaluation — a test pins every
-      entry against :meth:`SeekModel.seek_time`);
+    - ``seek_by_distance``: :meth:`SeekModel.seek_time` flattened to one
+      list indexed by cylinder distance (distance 0 costs nothing);
     - ``angle_by_spt``: per zone density, the rotation angle of each
-      sector start (``(sector / spt) * rev``) as one numpy sweep;
+      sector start (``(sector / spt) * rev``);
     - ``transfer``: ``(lba, sectors) -> (start_cyl, start_head,
       target_angle, transfer_ms, end_cyl, end_head)``.  Transfer time
       and final arm position depend only on the start address and
       length — never on the clock or previous arm state — so the
       track-crossing walk runs once per distinct request shape and is
-      a dict hit forever after.
+      a dict hit forever after.  The first and last track are also
+      what a track-buffer hit test needs.
 
     Nothing here depends on drive *state*; :class:`DiskDrive.service`
     combines a table entry with the arm position and clock.
+    ``tests/disk/test_drive_equivalence.py`` pins the seek and angle
+    tables entry for entry.
     """
 
     _shared: Dict[tuple, "ServiceTables"] = {}
@@ -135,10 +136,12 @@ class ServiceTables:
         self.revolution_ms = revolution_ms
         self.head_switch_ms = head_switch_ms
         self.cylinder_switch_ms = cylinder_switch_ms
-        self.seek_by_distance = self._seek_table(seek_model)
+        self.seek_by_distance = [
+            seek_model.seek_time(d) for d in range(seek_model.cylinders)
+        ]
         self.angle_by_spt: Dict[int, List[float]] = {
-            zone.sectors_per_track: self._angle_table(zone.sectors_per_track)
-            for zone in geometry.zones
+            spt: [(sector / spt) * revolution_ms for sector in range(spt)]
+            for spt in {zone.sectors_per_track for zone in geometry.zones}
         }
         self.transfer: Dict[
             Tuple[int, int], Tuple[int, int, float, float, int, int]
@@ -176,33 +179,11 @@ class ServiceTables:
             cls._shared[key] = tables
         return tables
 
-    def _seek_table(self, seek_model: SeekModel) -> List[float]:
-        cylinders = seek_model.cylinders
-        if _np is not None:
-            d_minus_1 = _np.arange(-1.0, cylinders - 1.0)
-            d_minus_1[0] = 0.0  # distance 0: placeholder, overwritten below
-            curve = (
-                seek_model.single_ms
-                + seek_model.alpha * _np.sqrt(d_minus_1)
-                + seek_model.beta * d_minus_1
-            )
-            table = curve.tolist()
-        else:
-            table = [seek_model.seek_time(d) for d in range(cylinders)]
-        table[0] = 0.0  # no arm motion, no seek
-        return table
-
-    def _angle_table(self, spt: int) -> List[float]:
-        rev = self.revolution_ms
-        if _np is not None:
-            return ((_np.arange(float(spt)) / spt) * rev).tolist()
-        return [(sector / spt) * rev for sector in range(spt)]
-
     def entry(
         self, lba: int, sectors: int
     ) -> Tuple[int, int, float, float, int, int]:
         """The transfer-table entry for ``(lba, sectors)``, computing and
-        caching it on first use (the exact reference walk)."""
+        caching it on first use (the track-crossing walk)."""
         geometry = self.geometry
         cylinder, head, sector = geometry.lba_to_chs(lba)
         spt_of = geometry.sectors_per_track
@@ -303,13 +284,6 @@ class DiskDrive:
         self._buffered_track = None
         self.buffer_hits = 0
 
-    def _rotational_wait(self, now_ms: float, sector: int, spt: int) -> float:
-        """Time until ``sector`` passes under the head, from ``now_ms``."""
-        rev = self.revolution_ms
-        target_angle = (sector / spt) * rev
-        current_angle = now_ms % rev
-        return (target_angle - current_angle) % rev
-
     def service(self, request: DiskRequest, now_ms: float) -> ServiceRecord:
         """Serve ``request`` starting at absolute time ``now_ms``.
 
@@ -317,17 +291,12 @@ class DiskDrive:
         track.  The caller (simulation engine) owns queueing; this method
         assumes the drive is idle.
 
-        Table-backed hot path: the request's state-independent arithmetic
-        (start/end position, rotation target angle, transfer walk) comes
-        from the shared :class:`ServiceTables`; only the seek distance
-        and the rotational wait — the parts coupled to arm position and
-        absolute time — are computed here.  Bit-identical to
-        :meth:`service_reference`, which remains the authority (and
-        serves the track-buffer configuration, whose hit test needs the
-        per-request CHS walk anyway).
+        The request's state-independent arithmetic (start and end track,
+        rotation target angle, transfer walk) comes from the shared
+        :class:`ServiceTables`; only the seek distance and the rotational
+        wait — the parts coupled to arm position and absolute time — are
+        computed here.
         """
-        if self.track_buffer:
-            return self.service_reference(request, now_ms)
         sectors = request.sectors
         if sectors < 1:
             raise ConfigurationError(f"empty transfer: {request}")
@@ -337,6 +306,13 @@ class DiskDrive:
         if entry is None:
             entry = tables.entry(request.lba, sectors)
         cylinder, head, target_angle, transfer_ms, end_cyl, end_head = entry
+        if self.track_buffer and not request.is_write:
+            # Track-buffer hit: a read entirely within the cached track is
+            # served from the buffer at electronic speed — no arm or
+            # platter involvement, arm position unchanged.
+            if self._buffered_track == (cylinder, head) == (end_cyl, end_head):
+                self.buffer_hits += 1
+                return ServiceRecord(0.0, 0.0, self.buffer_hit_ms, False, False)
         arm = self.cylinder
         head_changed = head != self.head
         if cylinder != arm:
@@ -348,6 +324,8 @@ class DiskDrive:
             seek_ms = self.head_switch_ms if head_changed else 0.0
         rev = self.revolution_ms
         latency_ms = (target_angle - (now_ms + seek_ms) % rev) % rev
+        # Fail-slow inflation and transient failures cover mechanical
+        # service only — a buffer hit touches no media (returned above).
         if self.fail_slow is not None:
             m = self.fail_slow.scale(now_ms)
             if m != 1.0:
@@ -361,107 +339,6 @@ class DiskDrive:
             if self.transient_errors is not None
             else False
         )
-        return ServiceRecord(
-            seek_ms,
-            latency_ms,
-            transfer_ms,
-            cylinder_changed,
-            head_changed,
-            failed,
-        )
-
-    def service_reference(
-        self, request: DiskRequest, now_ms: float
-    ) -> ServiceRecord:
-        """The scalar reference walk (and the track-buffer path).
-
-        Recomputes everything from the geometry per call; the
-        equivalence tests pin :meth:`service` against it request by
-        request.
-        """
-        sectors = request.sectors
-        if sectors < 1:
-            raise ConfigurationError(f"empty transfer: {request}")
-        geometry = self.geometry
-        chs = geometry.lba_to_chs(request.lba)
-        cylinder, head, sector = chs
-        cylinder_changed = cylinder != self.cylinder
-        head_changed = head != self.head
-
-        # Track-buffer hit: a read entirely within the cached track is
-        # served from the buffer at electronic speed — no arm or platter
-        # involvement, arm position unchanged.
-        if self.track_buffer and not request.is_write:
-            last = geometry.lba_to_chs(request.lba + sectors - 1)
-            if (
-                self._buffered_track == (cylinder, head)
-                and (last.cylinder, last.head) == self._buffered_track
-            ):
-                self.buffer_hits += 1
-                return ServiceRecord(
-                    seek_ms=0.0,
-                    latency_ms=0.0,
-                    transfer_ms=self.buffer_hit_ms,
-                    cylinder_changed=False,
-                    head_changed=False,
-                )
-
-        if cylinder_changed:
-            seek_ms = self.seek_model.seek_time(
-                abs(cylinder - self.cylinder)
-            )
-        elif head_changed:
-            seek_ms = self.head_switch_ms
-        else:
-            seek_ms = 0.0
-
-        rev = self.revolution_ms
-        spt_of = geometry.sectors_per_track
-        spt = spt_of(cylinder)
-        # Rotational wait for `sector` from `now_ms + seek_ms` — the
-        # inlined _rotational_wait, same operations in the same order.
-        latency_ms = ((sector / spt) * rev - (now_ms + seek_ms) % rev) % rev
-
-        transfer_ms = 0.0
-        remaining = sectors
-        heads = geometry.heads
-        while remaining > 0:
-            # spt only changes when the transfer crosses a cylinder
-            # boundary (updated below) — head switches stay in-zone.
-            chunk = spt - sector
-            if remaining < chunk:
-                chunk = remaining
-            transfer_ms += chunk * rev / spt
-            remaining -= chunk
-            sector += chunk
-            if remaining > 0:
-                sector = 0
-                head += 1
-                if head == heads:
-                    head = 0
-                    cylinder += 1
-                    transfer_ms += self.cylinder_switch_ms
-                    spt = spt_of(cylinder)
-                else:
-                    transfer_ms += self.head_switch_ms
-
-        # Fail-slow inflation covers mechanical service only — a track
-        # buffer hit is electronic and returned above.
-        if self.fail_slow is not None:
-            m = self.fail_slow.scale(now_ms)
-            if m != 1.0:
-                seek_ms *= m
-                latency_ms *= m
-                transfer_ms *= m
-        self.cylinder = cylinder
-        self.head = head
-        # Transient failure draw covers mechanical transfers only — a
-        # buffer hit touches no media (it returned above).
-        failed = (
-            self.transient_errors.draw()
-            if self.transient_errors is not None
-            else False
-        )
         if self.track_buffer:
             # Reading fills the buffer with the final track touched;
             # writes invalidate it (write-through, no read-back), and a
@@ -469,14 +346,14 @@ class DiskDrive:
             if request.is_write or failed:
                 self._buffered_track = None
             else:
-                self._buffered_track = (cylinder, head)
+                self._buffered_track = (end_cyl, end_head)
         return ServiceRecord(
-            seek_ms=seek_ms,
-            latency_ms=latency_ms,
-            transfer_ms=transfer_ms,
-            cylinder_changed=cylinder_changed,
-            head_changed=head_changed,
-            failed=failed,
+            seek_ms,
+            latency_ms,
+            transfer_ms,
+            cylinder_changed,
+            head_changed,
+            failed,
         )
 
     def __repr__(self) -> str:

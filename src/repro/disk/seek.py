@@ -39,28 +39,23 @@ class SeekModel:
         self.single_ms = single_ms
         self.alpha = alpha
         self.beta = beta
-        # distance -> ms memo: the curve is pure and the distance domain
-        # is bounded by the cylinder count, so the sqrt is paid once per
-        # distinct arm travel.
-        self._seek_cache: dict = {}
 
     def seek_time(self, distance: int) -> float:
-        """Milliseconds to move the arm ``distance`` cylinders."""
-        cached = self._seek_cache.get(distance)
-        if cached is not None:
-            return cached
+        """Milliseconds to move the arm ``distance`` cylinders.
+
+        The simulator reads the curve through the drive's precomputed
+        seek table (:class:`~repro.disk.drive.ServiceTables`), which is
+        its cache.
+        """
         if distance < 0:
             raise ConfigurationError(f"negative seek distance {distance}")
         if distance == 0:
-            ms = 0.0
-        else:
-            ms = (
-                self.single_ms
-                + self.alpha * math.sqrt(distance - 1)
-                + self.beta * (distance - 1)
-            )
-        self._seek_cache[distance] = ms
-        return ms
+            return 0.0
+        return (
+            self.single_ms
+            + self.alpha * math.sqrt(distance - 1)
+            + self.beta * (distance - 1)
+        )
 
     def average_seek_time(self) -> float:
         """Mean seek time over independent uniform start/end cylinders,

@@ -22,19 +22,21 @@ namedtuple hashing and no per-call stripe materialisation.  The original
 :meth:`locate_reference` / :meth:`data_unit_address_reference`; the
 registry-wide property test in ``tests/layouts/test_flat_fast_path.py``
 pins the two paths cell-for-cell equal across multiple periods.
+
+Stripes are cached only for the first period.  The planner reads a later
+period's stripe as its in-period cells plus an offset shift
+(:meth:`Layout.stripe_units_and_shift`); :meth:`Layout.stripe_units`
+builds a shifted stripe on each call, for callers off the fault-free
+path (degraded reads, hedges, resync, the oracle, analytic tools).
 """
 
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress, Role, StripeUnits, UnitInfo
-
-#: Shifted-cycle stripes kept per layout (see :meth:`Layout.stripe_units`).
-_SHIFTED_STRIPE_CACHE_SIZE = 256
 
 
 class Layout(abc.ABC):
@@ -73,10 +75,6 @@ class Layout(abc.ABC):
         # (every stripe decision consults it) and the spare list it is
         # derived from is fixed at construction.
         self._sparing: Optional[bool] = None
-        # Small LRU of *shifted* (cycle > 0) StripeUnits: closed-loop
-        # workloads revisit the same global stripes, so repeated
-        # multi-period accesses reuse the materialised address lists.
-        self._shifted_cache: "OrderedDict[int, StripeUnits]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Quantities subclasses must define.
@@ -175,23 +173,18 @@ class Layout(abc.ABC):
         return base, cycle * period
 
     def stripe_units(self, stripe_id: int) -> StripeUnits:
-        """Physical cells of a global stripe (period-extended)."""
+        """Physical cells of a global stripe (period-extended).
+
+        A later period's stripe is built on each call; write planning
+        reads :meth:`stripe_units_and_shift` instead.
+        """
         base, shift = self.stripe_units_and_shift(stripe_id)
         if shift == 0:
             return base
-        shifted_cache = self._shifted_cache
-        shifted = shifted_cache.get(stripe_id)
-        if shifted is not None:
-            shifted_cache.move_to_end(stripe_id)
-            return shifted
-        shifted = StripeUnits(
+        return StripeUnits(
             data=[PhysicalAddress(d, o + shift) for d, o in base.data],
             check=[PhysicalAddress(d, o + shift) for d, o in base.check],
         )
-        shifted_cache[stripe_id] = shifted
-        if len(shifted_cache) > _SHIFTED_STRIPE_CACHE_SIZE:
-            shifted_cache.popitem(last=False)
-        return shifted
 
     def stripe_of_data_unit(self, unit: int) -> int:
         """Global stripe holding client data unit ``unit``."""

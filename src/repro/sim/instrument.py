@@ -4,8 +4,8 @@ Always-on counters live on the simulated objects themselves (engine heap
 high-water mark, per-drive busy time, per-server queue depth high-water);
 this module turns them into plain JSON-able records, and provides the
 physical-operation :class:`TraceRecorder` behind the golden-trace
-regression tests.  Everything here is pure data — no numpy, no pickling
-surprises — so records survive multiprocessing boundaries and the on-disk
+regression tests.  Everything here is pure data — built-in containers,
+no pickling surprises — so records survive multiprocessing boundaries and the on-disk
 result cache byte-identically.
 """
 

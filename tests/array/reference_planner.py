@@ -8,6 +8,13 @@ included), redirects cells through a closure and dedupes each phase
 through a set.  Its read planner is a frozen copy of the production
 one.  ``tests/array/test_planner_equivalence.py`` requires
 ``plan_access`` to match it phase for phase and op for op.
+
+:func:`reference_phase_requests` is the controller's request coalescer
+as it was before it became one single-direction function for the fused
+read and the planned path: it keys groups by ``(disk, is_write)`` and
+takes each op's own direction.  The same test requires
+:func:`repro.array.controller.coalesce_phase` to match it request for
+request, in order.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.array.raidops import AccessPlan, ArrayMode, RebuiltPredicate, UnitOp
+from repro.disk.drive import DiskRequest
 from repro.errors import MappingError
 from repro.layouts.address import PhysicalAddress
 
@@ -245,3 +253,71 @@ def _dedupe(plan: AccessPlan) -> AccessPlan:
                 unique.append(op)
         phases.append(unique)
     return AccessPlan(phases=phases)
+
+
+def reference_phase_requests(
+    phase, unit_sectors: int, access_id: int, tag: object, coalesce: bool
+) -> List[Tuple[int, DiskRequest]]:
+    """Per-disk requests for ``phase``, merging physically contiguous
+    stripe-unit operations of the same type when ``coalesce`` is set."""
+    if not coalesce:
+        return [
+            (
+                op[0],
+                DiskRequest(
+                    op[1] * unit_sectors, unit_sectors, op[2], access_id, tag
+                ),
+            )
+            for op in phase
+        ]
+    seen = set()
+    requests = []
+    distinct = True
+    for disk, offset, is_write in phase:
+        pair = (disk, is_write)
+        if pair in seen:
+            distinct = False
+            break
+        seen.add(pair)
+        requests.append(
+            (
+                disk,
+                DiskRequest(
+                    offset * unit_sectors,
+                    unit_sectors,
+                    is_write,
+                    access_id,
+                    tag,
+                ),
+            )
+        )
+    if distinct:
+        return requests
+    by_disk: Dict[tuple, List[int]] = {}
+    for disk, offset, is_write in phase:
+        by_disk.setdefault((disk, is_write), []).append(offset)
+    requests = []
+    for (disk, is_write), offsets in by_disk.items():
+        offsets.sort()
+        run_start = offsets[0]
+        previous = offsets[0]
+        for offset in offsets[1:] + [None]:
+            if offset is not None and offset == previous + 1:
+                previous = offset
+                continue
+            requests.append(
+                (
+                    disk,
+                    DiskRequest(
+                        run_start * unit_sectors,
+                        (previous - run_start + 1) * unit_sectors,
+                        is_write,
+                        access_id,
+                        tag,
+                    ),
+                )
+            )
+            if offset is not None:
+                run_start = offset
+                previous = offset
+    return requests

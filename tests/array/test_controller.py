@@ -67,6 +67,31 @@ class TestBasicOperation:
                 LogicalAccess(1, too_far, 1, False), lambda a, m: None
             )
 
+    @pytest.mark.parametrize(
+        "first_unit, unit_count, is_write, mode",
+        [
+            (0, 0, False, ArrayMode.FAULT_FREE),
+            (0, 0, True, ArrayMode.FAULT_FREE),
+            (0, 0, False, ArrayMode.DEGRADED),
+            (-1, 1, False, ArrayMode.FAULT_FREE),
+            (-1, 1, True, ArrayMode.FAULT_FREE),
+        ],
+    )
+    def test_empty_or_negative_access_rejected_on_every_path(
+        self, first_unit, unit_count, is_write, mode
+    ):
+        # The fused fault-free read used to accept a zero-unit read that
+        # never completed; every path now raises the planner's error.
+        engine, controller = build()
+        if mode is ArrayMode.DEGRADED:
+            controller.fail_disk(3)
+        with pytest.raises(ConfigurationError, match=">= 1 unit"):
+            controller.submit(
+                LogicalAccess(1, first_unit, unit_count, is_write),
+                lambda a, m: None,
+            )
+        assert controller._in_flight == {}
+
     def test_duplicate_access_id_rejected(self):
         engine, controller = build()
         controller.submit(LogicalAccess(1, 0, 1, False), lambda a, m: None)

@@ -9,6 +9,13 @@ simulated records.  Drawn: every registry layout, a ``RelocatedView``
 over each sparing layout, every planning mode (reconstruction with
 random rebuild frontiers), reads and writes over unit ranges that cross
 stripe and period boundaries.
+
+The same drawn plans pin the controller's request coalescer: every
+phase is single-direction (all reads or all writes), and
+``coalesce_phase`` returns the same requests, in the same order, as the
+``(disk, is_write)``-keyed reference coalescer, with merging on and
+off — for the planned phase and, on fault-free reads, for the fused
+read path's flat cell list.
 """
 
 import random
@@ -18,11 +25,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.array.raidops import ArrayMode, plan_access
+from repro.array.controller import coalesce_phase
+from repro.array.raidops import ArrayMode, UnitOp, plan_access
 from repro.layouts.registry import available_layouts, make_layout
 from repro.layouts.relocated import RelocatedView
 
-from tests.array.reference_planner import reference_plan
+from tests.array.reference_planner import (
+    reference_phase_requests,
+    reference_plan,
+)
 
 #: Canonical (n, k): the paper's 13-disk array, stripe width 4 for the
 #: declustered schemes and the whole array for RAID-5.
@@ -102,6 +113,53 @@ def test_plan_access_matches_reference_model(case):
     got = plan_access(layout, *args)
     want = reference_plan(layout, *args)
     assert got.phases == want.phases, (layout.name, args)
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_accesses(), st.booleans(), st.sampled_from([1, 16]))
+def test_coalescer_matches_reference_coalescer(case, merge, unit_sectors):
+    layout, args = case
+    plan = plan_access(layout, *args)
+    for tag, phase in enumerate(plan.phases):
+        directions = {op.is_write for op in phase}
+        assert len(directions) <= 1, (layout.name, args, tag)
+        if not phase:
+            continue
+        got = coalesce_phase(
+            phase, phase[0].is_write, unit_sectors, 9, tag, merge
+        )
+        want = reference_phase_requests(phase, unit_sectors, 9, tag, merge)
+        assert got == want, (layout.name, args, tag)
+    first_unit, unit_count, is_write, mode = args[:4]
+    if not is_write and mode is ArrayMode.FAULT_FREE:
+        cells = layout.data_unit_cells(first_unit, unit_count)
+        fused = coalesce_phase(cells, False, unit_sectors, 9, 0, merge)
+        assert fused == reference_phase_requests(
+            plan.phases[0], unit_sectors, 9, 0, merge
+        ), (layout.name, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 12)),
+        max_size=14,
+        unique=True,
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+def test_coalescer_matches_reference_on_arbitrary_ops(cells, is_write, merge):
+    """Distinct cells in any order on a few disks, with gaps and runs —
+    not only the shapes the planner emits."""
+    phase = [UnitOp(disk, offset, is_write) for disk, offset in cells]
+    assert coalesce_phase(phase, is_write, 16, 3, 1, merge) == (
+        reference_phase_requests(phase, 16, 3, 1, merge)
+    )
 
 
 @pytest.mark.parametrize("key", _LAYOUT_KEYS, ids=str)

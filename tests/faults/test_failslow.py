@@ -8,6 +8,8 @@ from repro.errors import ConfigurationError
 from repro.faults.failslow import FailSlowModel
 from repro.faults.nemesis import NemesisEvent, NemesisSchedule
 
+from tests.disk.reference_drive import service_reference
+
 
 class TestProfiles:
     def test_constant_before_and_after_onset(self):
@@ -132,8 +134,8 @@ class TestDriveIntegration:
         ref.fail_slow = FailSlowModel(3.0, onset_ms=0.0)
         for lba, now in [(0, 0.0), (4096, 3.3), (77_000, 12.8)]:
             request = DiskRequest(lba, 24, False, access_id=0)
-            assert fast.service(request, now) == ref.service_reference(
-                request, now
+            assert fast.service(request, now) == service_reference(
+                ref, request, now
             )
 
     def test_healed_window_restores_exact_timing(self):
