@@ -484,10 +484,10 @@ class DiskServer:
         record = drive.service(request, now)
         if self.trace is not None:
             self.trace.record(self.disk_id, now, request, record)
-        # Inlined stats.record + classify_operation: one physical op
-        # runs through here per service, and the call overhead alone is
-        # measurable at hot-path event rates.  The record is a tuple —
-        # unpacking beats six descriptor lookups.
+        # Classify (locality, then head movement) and count inline: one
+        # physical op runs through here per service, and call overhead
+        # alone is measurable at hot-path event rates.  The record is a
+        # tuple — unpacking beats six descriptor lookups.
         seek_ms, latency_ms, transfer_ms, cyl_changed, head_changed, failed = (
             record
         )

@@ -36,9 +36,11 @@ provenance version stamp (see RUNNER.md "The bench-regression gate").
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import List, Optional
+import time
+from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
 from repro.runner.spec import MODES as _MODES
@@ -69,6 +71,80 @@ def _write_report(path: str, payload: dict, indent: int = 2) -> None:
             " rerun with a writable --out)"
         ) from None
     print(f"wrote {path}")
+
+
+def _add_cache_args(parser: argparse.ArgumentParser) -> None:
+    """The worker-count and result-cache flags of every sweep command."""
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None,
+        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
+    parser.add_argument("--no-cache", action="store_true")
+
+
+def _add_pool_args(parser: argparse.ArgumentParser) -> None:
+    """The hardened-pool flags of the trial sweep commands."""
+    parser.add_argument(
+        "--timeout", type=float, default=None,
+        help="per-trial deadline in seconds (enables the hardened pool)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=0,
+        help="crash/timeout retries per trial (capped exponential backoff)",
+    )
+    parser.add_argument(
+        "--checkpoint", default=None,
+        help="JSONL checkpoint file; a killed run resumes from it",
+    )
+
+
+@contextlib.contextmanager
+def _run_sweep(
+    args: argparse.Namespace, specs: list, noun: str = "trials"
+) -> Iterator[List[dict]]:
+    """Run ``specs`` under the command's runner flags; yield the records.
+
+    The footer (run counts, workers, elapsed time, cache dir) prints
+    after whatever the ``with`` block prints.  Commands without the
+    pool flags get the plain runner and no checkpoint count.
+    """
+    from repro.runner import (
+        ParallelRunner,
+        ResultCache,
+        RunCheckpoint,
+        default_cache_dir,
+    )
+
+    cache = None
+    if not args.no_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
+    pooled = hasattr(args, "checkpoint")  # see _add_pool_args
+    checkpoint = getattr(args, "checkpoint", None)
+    runner = ParallelRunner(
+        workers=args.workers,
+        cache=cache,
+        timeout_s=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", 0),
+        checkpoint=RunCheckpoint(checkpoint) if checkpoint else None,
+    )
+    started = time.perf_counter()
+    report = runner.run(specs)
+    elapsed = time.perf_counter() - started
+    yield report.records
+    checkpointed = (
+        f", {report.checkpoint_hits} from checkpoint" if pooled else ""
+    )
+    print(
+        f"{len(specs)} {noun}: {report.executed} simulated,"
+        f" {report.cache_hits} from cache{checkpointed}"
+        f" ({runner.workers} workers, {elapsed:.2f}s)"
+    )
+    if cache is not None:
+        print(f"cache dir: {cache.root}")
 
 
 def _print_io_recovery(summary: dict) -> None:
@@ -266,16 +342,8 @@ def _bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.report import render_response_curves
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        curves_from_records,
-        default_cache_dir,
-        response_sweep_specs,
-    )
+    from repro.runner import curves_from_records, response_sweep_specs
 
     if args.compare or args.baseline or args.candidate or args.exact:
         return _bench_compare(args)
@@ -292,57 +360,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         layouts=args.layouts,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = ParallelRunner(workers=args.workers, cache=cache)
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs, "points") as records:
+        kind = "writes" if args.write else "reads"
+        for size_kb, curves in sorted(curves_from_records(records).items()):
+            print()
+            print(f"bench: {size_kb}KB {kind}, {args.mode}")
+            print(render_response_curves(curves))
 
-    kind = "writes" if args.write else "reads"
-    for size_kb, curves in sorted(curves_from_records(report.records).items()):
+        events = sum(
+            r["instrumentation"]["engine"]["events_processed"]
+            for r in records
+        )
+        heap_high = max(
+            r["instrumentation"]["engine"]["heap_high_water"]
+            for r in records
+        )
+        queue_high = max(
+            r["instrumentation"]["max_queue_high_water"] for r in records
+        )
         print()
-        print(f"bench: {size_kb}KB {kind}, {args.mode}")
-        print(render_response_curves(curves))
-
-    events = sum(
-        r["instrumentation"]["engine"]["events_processed"]
-        for r in report.records
-    )
-    heap_high = max(
-        r["instrumentation"]["engine"]["heap_high_water"]
-        for r in report.records
-    )
-    queue_high = max(
-        r["instrumentation"]["max_queue_high_water"] for r in report.records
-    )
-    print()
-    print(
-        f"instrumentation: {events} engine events,"
-        f" heap high-water {heap_high},"
-        f" per-disk queue high-water {queue_high}"
-    )
-    print(
-        f"{len(specs)} points: {report.executed} simulated,"
-        f" {report.cache_hits} from cache"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+        print(
+            f"instrumentation: {events} engine events,"
+            f" heap high-water {heap_high},"
+            f" per-disk queue high-water {queue_high}"
+        )
     return 0
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        default_cache_dir,
-        lifecycle_sweep_specs,
-        rebuild_load_curves,
-    )
+    from repro.runner import lifecycle_sweep_specs, rebuild_load_curves
 
     if args.quick:
         layouts = ["pddl", "parity-declustering"]
@@ -374,59 +420,45 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         disks=args.disks,
         oracle=args.oracle,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = ParallelRunner(workers=args.workers, cache=cache)
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs, "runs") as records:
+        for record in records:
+            life = record["lifecycle"]
+            print()
+            print(
+                f"lifecycle: {life['layout']}, {life['spec_label']},"
+                f" {life['clients']} clients"
+                f" (fault on disk {life['fault_disk']}"
+                f" at {life['fault_time_ms']:.0f} ms)"
+            )
+            for mode, t in life["transitions"]:
+                print(f"  {t:10.1f} ms  -> {mode}")
+            if life["rebuild_duration_ms"] is not None:
+                print(
+                    f"  rebuild: {life['rebuild_steps']} steps"
+                    f" in {life['rebuild_duration_ms']:.1f} ms"
+                )
+            else:
+                print(
+                    f"  rebuild: incomplete"
+                    f" ({life['rebuild_steps']}/{life['rebuild_total_steps']}"
+                    f" steps)"
+                )
+            for mode, mean in life["mode_means_ms"].items():
+                n = record["histograms"][mode]["count"]
+                print(f"  {mode:20s} n={n:<5d} mean={mean:8.2f} ms")
+            if args.oracle:
+                print(
+                    f"  oracle: {life['oracle']['corruption_events']}"
+                    " corruption event(s)"
+                )
 
-    for record in report.records:
-        life = record["lifecycle"]
         print()
-        print(
-            f"lifecycle: {life['layout']}, {life['spec_label']},"
-            f" {life['clients']} clients"
-            f" (fault on disk {life['fault_disk']}"
-            f" at {life['fault_time_ms']:.0f} ms)"
-        )
-        for mode, t in life["transitions"]:
-            print(f"  {t:10.1f} ms  -> {mode}")
-        if life["rebuild_duration_ms"] is not None:
-            print(
-                f"  rebuild: {life['rebuild_steps']} steps"
-                f" in {life['rebuild_duration_ms']:.1f} ms"
+        for layout, curve in sorted(rebuild_load_curves(records).items()):
+            rendered = ", ".join(
+                f"{c} cl: {'--' if ms is None else f'{ms:.0f} ms'}"
+                for c, ms in curve
             )
-        else:
-            print(
-                f"  rebuild: incomplete"
-                f" ({life['rebuild_steps']}/{life['rebuild_total_steps']}"
-                f" steps)"
-            )
-        for mode, mean in life["mode_means_ms"].items():
-            n = record["histograms"][mode]["count"]
-            print(f"  {mode:20s} n={n:<5d} mean={mean:8.2f} ms")
-        if args.oracle:
-            print(
-                f"  oracle: {life['oracle']['corruption_events']}"
-                " corruption event(s)"
-            )
-
-    print()
-    for layout, curve in sorted(rebuild_load_curves(report.records).items()):
-        rendered = ", ".join(
-            f"{c} cl: {'--' if ms is None else f'{ms:.0f} ms'}"
-            for c, ms in curve
-        )
-        print(f"rebuild vs load [{layout}]: {rendered}")
-    print(
-        f"{len(specs)} runs: {report.executed} simulated,"
-        f" {report.cache_hits} from cache"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+            print(f"rebuild vs load [{layout}]: {rendered}")
 
     if args.out:
         summary = {
@@ -441,14 +473,14 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
                     "rebuild_duration_ms": life["rebuild_duration_ms"],
                     "mode_means_ms": life["mode_means_ms"],
                 }
-                for life in (r["lifecycle"] for r in report.records)
+                for life in (r["lifecycle"] for r in records)
             ],
         }
         if args.oracle:
             summary["oracle"] = {
                 "corruption_events": sum(
                     r["lifecycle"]["oracle"]["corruption_events"]
-                    for r in report.records
+                    for r in records
                 ),
             }
         _write_report(args.out, summary)
@@ -456,16 +488,8 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.campaign import campaign_specs, summarize_campaign
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
+    from repro.runner import sweep_provenance
 
     if args.quick:
         trials = 24
@@ -495,71 +519,47 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         transient_io_rate=args.transient_io_rate,
         oracle=args.oracle,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs) as records:
+        trial_records = [r["trial"] for r in records]
+        summary = summarize_campaign(trial_records)
 
-    trial_records = [r["trial"] for r in report.records]
-    summary = summarize_campaign(trial_records)
-
-    print(
-        f"campaign: {args.layout}, {args.disks} disks,"
-        f" {summary['trials']} trials, up to {args.faults} faults each"
-        f" (MTTF {mttf} h, dwell {dwell:.0f} ms)"
-    )
-    print(
-        f"  lost {summary['losses']}/{summary['trials']}"
-        f" -> loss probability {summary['loss_probability']:.3f}"
-        f" (95% CI [{summary['ci_low']:.3f}, {summary['ci_high']:.3f}])"
-    )
-    if summary["analytic"] is not None:
-        analytic = summary["analytic"]
-        verdict = "inside" if analytic["within_ci"] else "OUTSIDE"
         print(
-            f"  analytic prediction {analytic['loss_probability']:.3f}"
-            f" ({verdict} the CI;"
-            f" exposure window {analytic['window_hours'] * 3600:.1f} s)"
+            f"campaign: {args.layout}, {args.disks} disks,"
+            f" {summary['trials']} trials, up to {args.faults} faults each"
+            f" (MTTF {mttf} h, dwell {dwell:.0f} ms)"
         )
-    if summary["empirical_mttdl_hours"] is not None:
         print(
-            f"  empirical MTTDL {summary['empirical_mttdl_hours']:.4f} h"
-            + (
-                f" vs analytic {summary['analytic']['mttdl_hours']:.4f} h"
-                if summary["analytic"] is not None
-                else ""
+            f"  lost {summary['losses']}/{summary['trials']}"
+            f" -> loss probability {summary['loss_probability']:.3f}"
+            f" (95% CI [{summary['ci_low']:.3f}, {summary['ci_high']:.3f}])"
+        )
+        if summary["analytic"] is not None:
+            analytic = summary["analytic"]
+            verdict = "inside" if analytic["within_ci"] else "OUTSIDE"
+            print(
+                f"  analytic prediction {analytic['loss_probability']:.3f}"
+                f" ({verdict} the CI;"
+                f" exposure window {analytic['window_hours'] * 3600:.1f} s)"
             )
-        )
-    if args.oracle:
-        corruption = sum(
-            t["oracle"]["corruption_events"] for t in trial_records
-        )
-        print(
-            f"  oracle: {corruption} silent corruption event(s)"
-            f" across {summary['trials']} shadow-verified trials"
-        )
-    _print_io_recovery(summary)
-    _print_scrub(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+        if summary["empirical_mttdl_hours"] is not None:
+            print(
+                f"  empirical MTTDL {summary['empirical_mttdl_hours']:.4f} h"
+                + (
+                    f" vs analytic {summary['analytic']['mttdl_hours']:.4f} h"
+                    if summary["analytic"] is not None
+                    else ""
+                )
+            )
+        if args.oracle:
+            corruption = sum(
+                t["oracle"]["corruption_events"] for t in trial_records
+            )
+            print(
+                f"  oracle: {corruption} silent corruption event(s)"
+                f" across {summary['trials']} shadow-verified trials"
+            )
+        _print_io_recovery(summary)
+        _print_scrub(summary)
 
     if args.out:
         # Deterministic payload (no wall-clock anywhere): the CI resume
@@ -615,16 +615,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.crashtrial import crash_specs, summarize_crash
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
+    from repro.runner import sweep_provenance
 
     if args.quick:
         layouts = ["pddl"]
@@ -649,61 +641,37 @@ def _cmd_crash(args: argparse.Namespace) -> int:
         max_pre_samples=max_pre_samples,
         post_samples=post_samples,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs) as records:
+        trial_records = [r["crash_trial"] for r in records]
+        summary = summarize_crash(trial_records)
 
-    trial_records = [r["crash_trial"] for r in report.records]
-    summary = summarize_crash(trial_records)
-
-    for t in trial_records:
-        journal = "journal" if t["journal"] else "full-sweep"
-        resync = (
-            "--"
-            if t["resync_ms"] is None
-            else f"{t['resync_ms']:8.1f} ms"
+        for t in trial_records:
+            journal = "journal" if t["journal"] else "full-sweep"
+            resync = (
+                "--"
+                if t["resync_ms"] is None
+                else f"{t['resync_ms']:8.1f} ms"
+            )
+            print(
+                f"crash: {t['layout']}, {t['clients']} clients, {journal:10s}"
+                f" -> {t['classification']:9s}"
+                f" torn {len(t['crash']['torn_stripes']):2d}"
+                f" resync {resync}"
+                f" oracle {t['oracle']['corruption_events']}"
+            )
+        print()
+        print(
+            f"resync: journal {summary['journal_resync_ms']:.1f} ms"
+            f" vs full sweep {summary['full_sweep_resync_ms']:.1f} ms"
+            f" ({summary['resync_speedup']:.1f}x),"
+            f" recomputed {summary['stripes_recomputed_journal']}"
+            f" vs {summary['stripes_recomputed_full_sweep']} stripes"
         )
         print(
-            f"crash: {t['layout']}, {t['clients']} clients, {journal:10s}"
-            f" -> {t['classification']:9s}"
-            f" torn {len(t['crash']['torn_stripes']):2d}"
-            f" resync {resync}"
-            f" oracle {t['oracle']['corruption_events']}"
+            f"oracle: {summary['corruption_events']} silent corruption"
+            f" event(s), {summary['data_loss_trials']} declared data-loss"
+            f" trial(s) in {summary['trials']} trials"
         )
-    print()
-    print(
-        f"resync: journal {summary['journal_resync_ms']:.1f} ms"
-        f" vs full sweep {summary['full_sweep_resync_ms']:.1f} ms"
-        f" ({summary['resync_speedup']:.1f}x),"
-        f" recomputed {summary['stripes_recomputed_journal']}"
-        f" vs {summary['stripes_recomputed_full_sweep']} stripes"
-    )
-    print(
-        f"oracle: {summary['corruption_events']} silent corruption"
-        f" event(s), {summary['data_loss_trials']} declared data-loss"
-        f" trial(s) in {summary['trials']} trials"
-    )
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
 
     if args.out:
         # Deterministic payload (no wall-clock anywhere): CI byte-compares
@@ -752,19 +720,11 @@ def _cmd_crash(args: argparse.Namespace) -> int:
 
 
 def _cmd_nemesis(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.nemesistrial import (
         nemesis_specs,
         summarize_nemesis,
     )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
+    from repro.runner import sweep_provenance
 
     trials = 24 if args.quick else args.trials
     start = 0
@@ -787,63 +747,39 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
         transient_io_rate=args.transient_io_rate,
         lse_per_gb=args.lse_per_gb,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs) as records:
+        trial_records = [r["nemesis_trial"] for r in records]
+        summary = summarize_nemesis(trial_records)
 
-    trial_records = [r["nemesis_trial"] for r in report.records]
-    summary = summarize_nemesis(trial_records)
-
-    print(
-        f"nemesis: {args.layout}, {args.disks} disks,"
-        f" {summary['trials']} composed-fault trial(s), oracle on"
-    )
-    print(
-        f"  survived {summary['survived']},"
-        f" data-loss {summary['data_loss']},"
-        f" SILENT CORRUPTION {summary['silent_corruption']}"
-    )
-    applied = summary["events_applied"]
-    print(
-        "  faults applied: "
-        + ", ".join(f"{k} x{v}" for k, v in applied.items())
-    )
-    if summary["events_skipped"]:
         print(
-            "  skipped (legality): "
-            + ", ".join(
-                f"{k} x{v}" for k, v in summary["skip_reasons"].items()
+            f"nemesis: {args.layout}, {args.disks} disks,"
+            f" {summary['trials']} composed-fault trial(s), oracle on"
+        )
+        print(
+            f"  survived {summary['survived']},"
+            f" data-loss {summary['data_loss']},"
+            f" SILENT CORRUPTION {summary['silent_corruption']}"
+        )
+        applied = summary["events_applied"]
+        print(
+            "  faults applied: "
+            + ", ".join(f"{k} x{v}" for k, v in applied.items())
+        )
+        if summary["events_skipped"]:
+            print(
+                "  skipped (legality): "
+                + ", ".join(
+                    f"{k} x{v}" for k, v in summary["skip_reasons"].items()
+                )
             )
-        )
-    if summary["mean_resync_ms"] is not None:
-        print(
-            f"  {summary['crashes']} crash(es), mean resync"
-            f" {summary['mean_resync_ms']:.1f} ms,"
-            f" {summary['write_hole_stripes']} write-hole stripe(s)"
-        )
-    _print_io_recovery(summary)
-    _print_scrub(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+        if summary["mean_resync_ms"] is not None:
+            print(
+                f"  {summary['crashes']} crash(es), mean resync"
+                f" {summary['mean_resync_ms']:.1f} ms,"
+                f" {summary['write_hole_stripes']} write-hole stripe(s)"
+            )
+        _print_io_recovery(summary)
+        _print_scrub(summary)
 
     failing = summary["failing_trials"]
     if failing:
@@ -909,19 +845,11 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.openloop import (
         openloop_specs,
         summarize_openloop,
     )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
+    from repro.runner import sweep_provenance
 
     layouts = args.layouts
     rates = args.rates
@@ -944,59 +872,35 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         slo_p999_ms=args.slo_p999,
         horizon_ms=args.horizon,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs) as records:
+        trial_records = [r["openloop"] for r in records]
+        summary = summarize_openloop(trial_records)
 
-    trial_records = [r["openloop"] for r in report.records]
-    summary = summarize_openloop(trial_records)
-
-    print(
-        f"traffic: {args.arrival} arrivals, {len(layouts)} layout(s) x"
-        f" {len(rates)} offered load(s) x {len(args.phases)} phase(s),"
-        f" {arrivals} arrivals/trial"
-    )
-    print(
-        f"  overloaded {summary['overloaded_trials']}/{summary['trials']}"
-        f" trial(s), SLO-violating {summary['slo_violated_trials']},"
-        f" shed {summary['shed_total']} arrival(s)"
-    )
-    for layout in sorted(summary["knees"]):
-        knees = summary["knees"][layout]
-        rendered = ", ".join(
-            f"{phase}: {'-' if rate is None else f'{rate:g}/s'}"
-            for phase, rate in sorted(knees.items())
-        )
-        print(f"  knee[{layout}]  {rendered}")
-    for entry in summary["divergence"]:
         print(
-            f"  diverges: {entry['layout']} @ {entry['rate_per_s']:g}/s"
-            f" — rebuild p999 {entry['rebuild_p999_ms']:.1f} ms"
-            f" (ff {entry['ff_p999_ms']:.1f} ms,"
-            f" {entry['rebuild_shed']} shed)"
+            f"traffic: {args.arrival} arrivals, {len(layouts)} layout(s) x"
+            f" {len(rates)} offered load(s) x {len(args.phases)} phase(s),"
+            f" {arrivals} arrivals/trial"
         )
-    _print_io_recovery(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+        print(
+            f"  overloaded {summary['overloaded_trials']}/{summary['trials']}"
+            f" trial(s), SLO-violating {summary['slo_violated_trials']},"
+            f" shed {summary['shed_total']} arrival(s)"
+        )
+        for layout in sorted(summary["knees"]):
+            knees = summary["knees"][layout]
+            rendered = ", ".join(
+                f"{phase}: {'-' if rate is None else f'{rate:g}/s'}"
+                for phase, rate in sorted(knees.items())
+            )
+            print(f"  knee[{layout}]  {rendered}")
+        for entry in summary["divergence"]:
+            print(
+                f"  diverges: {entry['layout']} @ {entry['rate_per_s']:g}/s"
+                f" — rebuild p999 {entry['rebuild_p999_ms']:.1f} ms"
+                f" (ff {entry['ff_p999_ms']:.1f} ms,"
+                f" {entry['rebuild_shed']} shed)"
+            )
+        _print_io_recovery(summary)
 
     if args.out:
         # Deterministic payload modulo the provenance version stamp:
@@ -1051,19 +955,11 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_failslow(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.failslow import (
         failslow_specs,
         summarize_failslow,
     )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
+    from repro.runner import sweep_provenance
 
     layouts = args.layouts
     arrivals = args.arrivals
@@ -1088,74 +984,50 @@ def _cmd_failslow(args: argparse.Namespace) -> int:
         slo_p999_ms=args.slo_p999,
         horizon_ms=args.horizon,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs) as records:
+        trial_records = [r["failslow"] for r in records]
+        summary = summarize_failslow(trial_records)
 
-    trial_records = [r["failslow"] for r in report.records]
-    summary = summarize_failslow(trial_records)
-
-    print(
-        f"failslow: {len(layouts)} layout(s) x"
-        f" {len(args.defenses)} defense(s),"
-        f" {arrivals} arrivals/trial @ {args.rate:g}/s,"
-        f" {args.slow_multiplier:g}x fail-slow disk"
-    )
-    print(
-        f"  SLO-violating {summary['slo_violated_trials']}"
-        f"/{summary['trials']} trial(s),"
-        f" truncated {summary['truncated_trials']}"
-    )
-    for layout in sorted(summary["hedging"]):
-        h = summary["hedging"][layout]
-        win = "-" if h["win_rate"] is None else f"{h['win_rate']:.0%}"
-        both = (
-            ""
-            if h["both_p999_ms"] is None
-            else f" (both: {h['both_p999_ms']:.1f})"
+        print(
+            f"failslow: {len(layouts)} layout(s) x"
+            f" {len(args.defenses)} defense(s),"
+            f" {arrivals} arrivals/trial @ {args.rate:g}/s,"
+            f" {args.slow_multiplier:g}x fail-slow disk"
         )
         print(
-            f"  hedge[{layout}]  p999 {h['none_p999_ms']:.1f} ->"
-            f" {h['hedge_p999_ms']:.1f} ms{both},"
-            f" {h['won']}/{h['launched']} won ({win}),"
-            f" {h['quarantines']} quarantine(s)"
+            f"  SLO-violating {summary['slo_violated_trials']}"
+            f"/{summary['trials']} trial(s),"
+            f" truncated {summary['truncated_trials']}"
         )
-    for layout in sorted(summary["adaptive"]):
-        a = summary["adaptive"][layout]
-        inflation = (
-            "-"
-            if a["rebuild_inflation"] is None
-            else f"{a['rebuild_inflation']:.2f}x"
-        )
-        print(
-            f"  aimd[{layout}]   p99 violated"
-            f" {a['none_p99_violated']} -> {a['adaptive_p99_violated']},"
-            f" rebuild {inflation},"
-            f" {a['backoffs']} backoff(s) / {a['sprints']} sprint(s)"
-        )
-    _print_io_recovery(summary)
-    _print_scrub(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+        for layout in sorted(summary["hedging"]):
+            h = summary["hedging"][layout]
+            win = "-" if h["win_rate"] is None else f"{h['win_rate']:.0%}"
+            both = (
+                ""
+                if h["both_p999_ms"] is None
+                else f" (both: {h['both_p999_ms']:.1f})"
+            )
+            print(
+                f"  hedge[{layout}]  p999 {h['none_p999_ms']:.1f} ->"
+                f" {h['hedge_p999_ms']:.1f} ms{both},"
+                f" {h['won']}/{h['launched']} won ({win}),"
+                f" {h['quarantines']} quarantine(s)"
+            )
+        for layout in sorted(summary["adaptive"]):
+            a = summary["adaptive"][layout]
+            inflation = (
+                "-"
+                if a["rebuild_inflation"] is None
+                else f"{a['rebuild_inflation']:.2f}x"
+            )
+            print(
+                f"  aimd[{layout}]   p99 violated"
+                f" {a['none_p99_violated']} -> {a['adaptive_p99_violated']},"
+                f" rebuild {inflation},"
+                f" {a['backoffs']} backoff(s) / {a['sprints']} sprint(s)"
+            )
+        _print_io_recovery(summary)
+        _print_scrub(summary)
 
     if args.out:
         # Deterministic payload modulo the provenance version stamp —
@@ -1215,19 +1087,11 @@ def _cmd_failslow(args: argparse.Namespace) -> int:
 
 
 def _cmd_corruption(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.corruption import (
         corruption_specs,
         summarize_corruption,
     )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
+    from repro.runner import sweep_provenance
 
     layouts = args.layouts
     trials = args.trials
@@ -1255,75 +1119,51 @@ def _cmd_corruption(args: argparse.Namespace) -> int:
         scrub_interval_ms=args.scrub_interval,
         horizon_ms=args.horizon,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    with _run_sweep(args, specs) as records:
+        trial_records = [r["corruption"] for r in records]
+        summary = summarize_corruption(trial_records)
 
-    trial_records = [r["corruption"] for r in report.records]
-    summary = summarize_corruption(trial_records)
-
-    print(
-        f"corruption: {len(layouts)} layout(s) x"
-        f" {len(args.defenses)} defense(s) x {trials} trial(s),"
-        f" {arrivals} arrivals/trial @ {args.rate:g}/s"
-    )
-    silent = summary["silent_by_defense"]
-    print(
-        "  silent by defense: "
-        + ", ".join(f"{d}={silent[d]}" for d in sorted(silent))
-    )
-    print(
-        f"  defended tiers served {summary['defended_silent_total']}"
-        " silent corruption event(s);"
-        f" undefended served {summary['undefended_silent_total']}"
-    )
-    for layout in summary["layouts"]:
-        tiers = summary["by_tier"][layout]
-        cost = summary["latency_cost_vs_none"].get(layout, {})
-        parts = []
-        for defense in sorted(tiers):
-            entry = tiers[defense]
-            factor = cost.get(defense)
-            label = (
-                f"{defense} {entry['mean_latency_ms']:.2f}ms"
-                if entry["mean_latency_ms"] is not None
-                else f"{defense} -"
-            )
-            if factor is not None and defense != "none":
-                label += f" ({factor:.2f}x)"
-            parts.append(label)
-        print(f"  latency[{layout}]: " + ", ".join(parts))
-        for defense in sorted(tiers):
-            audit = tiers[defense].get("scrub_audit")
-            if audit:
-                print(
-                    f"  audit[{layout}/{defense}]:"
-                    f" {audit['stripes_audited']} stripe-cells audited,"
-                    f" {audit['audit_mismatches']} mismatch(es),"
-                    f" {audit['audit_repairs']} repaired,"
-                    f" {audit['audit_unrepairable']} unrepairable"
+        print(
+            f"corruption: {len(layouts)} layout(s) x"
+            f" {len(args.defenses)} defense(s) x {trials} trial(s),"
+            f" {arrivals} arrivals/trial @ {args.rate:g}/s"
+        )
+        silent = summary["silent_by_defense"]
+        print(
+            "  silent by defense: "
+            + ", ".join(f"{d}={silent[d]}" for d in sorted(silent))
+        )
+        print(
+            f"  defended tiers served {summary['defended_silent_total']}"
+            " silent corruption event(s);"
+            f" undefended served {summary['undefended_silent_total']}"
+        )
+        for layout in summary["layouts"]:
+            tiers = summary["by_tier"][layout]
+            cost = summary["latency_cost_vs_none"].get(layout, {})
+            parts = []
+            for defense in sorted(tiers):
+                entry = tiers[defense]
+                factor = cost.get(defense)
+                label = (
+                    f"{defense} {entry['mean_latency_ms']:.2f}ms"
+                    if entry["mean_latency_ms"] is not None
+                    else f"{defense} -"
                 )
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+                if factor is not None and defense != "none":
+                    label += f" ({factor:.2f}x)"
+                parts.append(label)
+            print(f"  latency[{layout}]: " + ", ".join(parts))
+            for defense in sorted(tiers):
+                audit = tiers[defense].get("scrub_audit")
+                if audit:
+                    print(
+                        f"  audit[{layout}/{defense}]:"
+                        f" {audit['stripes_audited']} stripe-cells audited,"
+                        f" {audit['audit_mismatches']} mismatch(es),"
+                        f" {audit['audit_repairs']} repaired,"
+                        f" {audit['audit_unrepairable']} unrepairable"
+                    )
 
     if args.out:
         # Deterministic payload modulo the provenance version stamp —
@@ -1501,15 +1341,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--write", action="store_true")
     bench.add_argument("--mode", choices=sorted(_MODES), default="ff")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    bench.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    bench.add_argument("--no-cache", action="store_true")
+    _add_cache_args(bench)
     bench.add_argument("--layouts", nargs="+", default=DEFAULT_LAYOUTS)
     bench.add_argument(
         "--compare", action="store_true",
@@ -1576,15 +1408,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="overall response budget per run",
     )
     life.add_argument("--seed", type=int, default=0)
-    life.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    life.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    life.add_argument("--no-cache", action="store_true")
+    _add_cache_args(life)
     life.add_argument(
         "--oracle", action="store_true",
         help="shadow every run with the integrity oracle and report"
@@ -1657,27 +1481,8 @@ def build_parser() -> argparse.ArgumentParser:
         " silent-corruption counts",
     )
     camp.add_argument("--seed", type=int, default=0)
-    camp.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    camp.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    camp.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    camp.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    camp.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    camp.add_argument("--no-cache", action="store_true")
+    _add_cache_args(camp)
+    _add_pool_args(camp)
     camp.add_argument(
         "--out", default="BENCH_campaign.json",
         help="JSON report path (deterministic content; '' to skip)",
@@ -1713,27 +1518,8 @@ def build_parser() -> argparse.ArgumentParser:
     crash.add_argument("--pre-samples", type=int, default=200)
     crash.add_argument("--post-samples", type=int, default=50)
     crash.add_argument("--seed", type=int, default=0)
-    crash.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    crash.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    crash.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    crash.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    crash.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    crash.add_argument("--no-cache", action="store_true")
+    _add_cache_args(crash)
+    _add_pool_args(crash)
     crash.add_argument(
         "--out", default="BENCH_crash.json",
         help="JSON report path (deterministic content; '' to skip)",
@@ -1791,27 +1577,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="latent sector errors seeded up front per GB (bursts in"
         " the schedule add more mid-run)",
     )
-    nem.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    nem.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    nem.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    nem.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    nem.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    nem.add_argument("--no-cache", action="store_true")
+    _add_cache_args(nem)
+    _add_pool_args(nem)
     nem.add_argument(
         "--out", default="BENCH_nemesis.json",
         help="JSON report path (deterministic content; '' to skip)",
@@ -1873,27 +1640,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=30000.0,
         help="per-trial simulation-time safety stop, ms",
     )
-    traffic.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    traffic.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    traffic.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    traffic.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    traffic.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    traffic.add_argument("--no-cache", action="store_true")
+    _add_cache_args(traffic)
+    _add_pool_args(traffic)
     traffic.add_argument(
         "--out", default="BENCH_traffic.json",
         help="JSON report path (deterministic content; '' to skip)",
@@ -1960,27 +1708,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=120000.0,
         help="per-trial simulation-time safety stop, ms",
     )
-    fslow.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    fslow.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    fslow.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    fslow.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    fslow.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    fslow.add_argument("--no-cache", action="store_true")
+    _add_cache_args(fslow)
+    _add_pool_args(fslow)
     fslow.add_argument(
         "--out", default="BENCH_failslow.json",
         help="JSON report path (deterministic content; '' to skip)",
@@ -2060,27 +1789,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=60000.0,
         help="per-trial simulation-time safety stop, ms",
     )
-    corr.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    corr.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    corr.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    corr.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    corr.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    corr.add_argument("--no-cache", action="store_true")
+    _add_cache_args(corr)
+    _add_pool_args(corr)
     corr.add_argument(
         "--out", default="BENCH_corruption.json",
         help="JSON report path (deterministic content; '' to skip)",

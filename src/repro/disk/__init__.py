@@ -17,7 +17,7 @@ from repro.disk.scheduler import (
     make_scheduler,
 )
 from repro.disk.seek import SeekModel
-from repro.disk.stats import DiskOpClass, DiskStats, classify_operation
+from repro.disk.stats import DiskOpClass, DiskStats
 
 __all__ = [
     "DiskDrive",
@@ -34,7 +34,6 @@ __all__ = [
     "ServiceRecord",
     "SstfScheduler",
     "Zone",
-    "classify_operation",
     "make_hp2247",
     "make_scheduler",
 ]

@@ -29,32 +29,15 @@ class DiskOpClass(enum.Enum):
     __hash__ = object.__hash__
 
 
-def classify_operation(
-    local: bool, cylinder_changed: bool, head_changed: bool
-) -> DiskOpClass:
-    """Classify one physical operation.
-
-    >>> classify_operation(False, True, False)
-    <DiskOpClass.NON_LOCAL_SEEK: 'non-local seek'>
-    >>> classify_operation(True, False, True)
-    <DiskOpClass.TRACK_SWITCH: 'one track switch'>
-    """
-    if not local:
-        return DiskOpClass.NON_LOCAL_SEEK
-    if cylinder_changed:
-        return DiskOpClass.CYLINDER_SWITCH
-    if head_changed:
-        return DiskOpClass.TRACK_SWITCH
-    return DiskOpClass.NO_SWITCH
-
-
 @dataclass(slots=True)
 class DiskStats:
     """Mutable per-disk counters maintained by the simulator.
 
-    ``slots=True``: the counters are bumped once per physical operation
-    (inlined in the disk server's service path), and slot access is
-    measurably cheaper than a dict-backed instance there.
+    The disk server classifies and counts each physical operation inline
+    in its service path (``tests/disk/reference_stats.py`` is the
+    reference model).  ``slots=True``: the counters are bumped once per
+    physical operation, and slot access is measurably cheaper than a
+    dict-backed instance there.
     """
 
     operations: int = 0
@@ -67,20 +50,6 @@ class DiskStats:
     )
     #: Logical access that issued the previous operation (for locality).
     last_access_id: Optional[int] = None
-
-    def record(
-        self,
-        op_class: DiskOpClass,
-        seek_ms: float,
-        latency_ms: float,
-        transfer_ms: float,
-    ) -> None:
-        self.operations += 1
-        self.by_class[op_class] += 1
-        self.seek_ms += seek_ms
-        self.latency_ms += latency_ms
-        self.transfer_ms += transfer_ms
-        self.busy_ms += seek_ms + latency_ms + transfer_ms
 
     def merge(self, other: "DiskStats") -> None:
         self.operations += other.operations

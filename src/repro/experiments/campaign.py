@@ -27,7 +27,7 @@ parallel workers all produce identical bytes).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
@@ -50,22 +50,19 @@ from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
 
+if TYPE_CHECKING:
+    from repro.runner.spec import CampaignTrialSpec
+
 
 def run_campaign_trial(
-    layout_name: str,
-    scenario: FaultScenario,
-    trial: int = 0,
-    seed: int = 0,
-    clients: int = 0,
-    size_kb: int = 8,
-    is_write: bool = False,
-    disks: Optional[int] = None,
-    width: Optional[int] = None,
-    oracle: bool = False,
+    spec: "CampaignTrialSpec",
     layout=None,
+    scenario: Optional[FaultScenario] = None,
     instrument_out: Optional[dict] = None,
 ) -> dict:
-    """One seeded array lifetime, to completion or data loss.
+    """One seeded array lifetime of a
+    :class:`~repro.runner.spec.CampaignTrialSpec`, to completion or data
+    loss.
 
     ``clients = 0`` runs the repair arc with no foreground load (the
     common campaign configuration — thousands of trials, reliability is
@@ -82,18 +79,20 @@ def run_campaign_trial(
     set additionally injects per-operation I/O errors recovered by the
     controller's retry/escalation machinery (``"io_recovery"`` block).
 
-    ``layout`` lets a batch executor pass a pre-built (shared) layout
-    matching ``layout_name``/``disks``/``width``; layouts are immutable
-    mappings (controllers wrap rather than mutate them), so sharing
-    cannot change the record.  ``instrument_out``, when given a dict,
-    receives out-of-band engine counters (``events_processed``) — kept
-    off the record so campaign bytes stay pinned.
+    ``scenario`` defaults to ``spec.scenario()``; tests pass scripted
+    ones.  ``layout`` lets a batch executor pass a pre-built (shared)
+    layout matching the spec's ``layout``/``disks``/``width``; layouts
+    are immutable mappings (controllers wrap rather than mutate them),
+    so sharing cannot change the record.  ``instrument_out``, when given
+    a dict, receives out-of-band engine counters
+    (``events_processed``) — kept off the record so campaign bytes stay
+    pinned.
     """
-    if clients < 0:
-        raise ConfigurationError(f"negative client count {clients}")
+    if scenario is None:
+        scenario = spec.scenario()
     engine = SimulationEngine()
     if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+        layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     controller = ArrayController(
         engine,
         layout,
@@ -102,7 +101,7 @@ def run_campaign_trial(
         stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
     )
     oracle_model = None
-    if oracle:
+    if spec.oracle:
         from repro.faults.oracle import IntegrityOracle
 
         oracle_model = controller.attach_oracle(IntegrityOracle(layout))
@@ -167,22 +166,22 @@ def run_campaign_trial(
         scrubber.start()
 
     samples = {"count": 0}
-    if clients > 0:
-        spec = AccessSpec(size_kb=size_kb, is_write=is_write)
-        units = spec.units(PAPER_STRIPE_UNIT_KB)
+    if spec.clients > 0:
+        access_spec = AccessSpec(size_kb=spec.size_kb, is_write=spec.is_write)
+        units = access_spec.units(PAPER_STRIPE_UNIT_KB)
 
         def on_response(client, access, response_ms) -> bool:
             samples["count"] += 1
             return True
 
-        for c in range(clients):
+        for c in range(spec.clients):
             generator = UniformGenerator(
                 controller.addressable_data_units,
                 units,
-                random.Random(f"{seed}/client-{c}"),
+                random.Random(f"{spec.seed}/client-{c}"),
             )
             ClosedLoopClient(
-                c, controller, generator, spec, on_response,
+                c, controller, generator, access_spec, on_response,
                 stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
             ).start()
 
@@ -217,10 +216,10 @@ def run_campaign_trial(
         window_ms = None
     recon = lifecycle.reconstructor
     record = {
-        "layout": layout_name,
+        "layout": spec.layout,
         "disks": layout.n,
-        "trial": trial,
-        "seed": seed,
+        "trial": spec.trial,
+        "seed": spec.seed,
         "mttf_hours": scenario.mttf_hours,
         "classification": done["classification"],
         "survived": survived,

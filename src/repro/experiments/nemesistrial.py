@@ -36,7 +36,7 @@ cohort takes over from the stalled one.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController
 from repro.array.journal import StripeJournal
@@ -56,12 +56,14 @@ from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
 from repro.faults.nemesis import ActiveFaultTracker, NemesisSchedule
 from repro.faults.oracle import IntegrityOracle
-from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import SCRUB_ID_BASE, Scrubber, aggregate_scrub
 from repro.sim.engine import SimulationEngine
 from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
+
+if TYPE_CHECKING:
+    from repro.runner.spec import NemesisTrialSpec
 
 #: Scrubber generations (fresh instance after each crash / scrub-off
 #: window) each get their own access-id block inside the scrub space.
@@ -69,46 +71,34 @@ _SCRUB_GENERATION_STRIDE = 1 << 20
 
 
 def run_nemesis_trial(
-    layout_name: str,
-    schedule: NemesisSchedule,
-    trial: int = 0,
-    seed: int = 0,
-    clients: int = 2,
-    size_kb: int = 8,
-    is_write: bool = True,
-    disks: int = 13,
-    width: Optional[int] = None,
-    rows: int = 26,
-    degraded_dwell_ms: float = 1500.0,
-    rebuild_parallel: int = 1,
-    journal: bool = True,
-    journal_latency_ms: float = 0.05,
-    scrub_interval_ms: Optional[float] = 400.0,
-    scrub_throttle_ms: float = 0.0,
-    restart_delay_ms: float = 10.0,
-    max_samples: int = 240,
-    transient_io_rate: float = 0.0,
-    lse_per_gb: float = 0.0,
-    checksums: bool = False,
+    spec: "NemesisTrialSpec",
     layout=None,
+    schedule: Optional[NemesisSchedule] = None,
 ) -> dict:
-    """One composed-fault lifetime (see module docstring).
+    """One composed-fault lifetime of a
+    :class:`~repro.runner.spec.NemesisTrialSpec` (see module docstring).
 
-    Pure function of its arguments: the schedule is already drawn, every
-    RNG here is a named stream, and the event loop is deterministic —
-    trials plug into the runner's byte-determinism contract.  ``layout``
-    accepts a pre-built shared layout from a batch executor (layouts are
-    immutable mappings, so sharing cannot change the record).
+    Pure function of its arguments: the schedule is drawn from the spec
+    (or scripted by the caller), every RNG here is a named stream, and
+    the event loop is deterministic — trials plug into the runner's
+    byte-determinism contract.  ``layout`` accepts a pre-built shared
+    layout from a batch executor (layouts are immutable mappings, so
+    sharing cannot change the record).
     """
-    if clients < 0:
-        raise ConfigurationError(f"negative client count {clients}")
-    if restart_delay_ms < 0:
-        raise ConfigurationError(
-            f"negative restart delay {restart_delay_ms}"
-        )
+    if schedule is None:
+        schedule = spec.schedule()
+    seed = spec.seed
+    clients = spec.clients
+    rows = spec.rows
+    max_samples = spec.max_samples
+    restart_delay_ms = spec.restart_delay_ms
+    transient_io_rate = spec.transient_io_rate
+    scrub_interval_ms = spec.scrub_interval_ms
+    scrub_throttle_ms = spec.scrub_throttle_ms
+    checksums = spec.checksums
     engine = SimulationEngine()
     if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+        layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     schedule.validate(layout.n, rows)
     controller = ArrayController(
         engine,
@@ -119,43 +109,28 @@ def run_nemesis_trial(
     )
     oracle_model = controller.attach_oracle(IntegrityOracle(layout))
     journal_log = (
-        controller.attach_journal(StripeJournal(journal_latency_ms))
-        if journal
+        controller.attach_journal(StripeJournal(spec.journal_latency_ms))
+        if spec.journal
         else None
     )
     if checksums:
         controller.enable_checksums()
     #: Per-trial stream root for fault machinery (storms, ambient LSEs);
     #: mirrors CampaignTrialSpec.fault_seed so trials are independent.
-    fault_seed = seed * 1_000_003 + trial
+    fault_seed = seed * 1_000_003 + spec.trial
     if transient_io_rate > 0:
         controller.enable_transient_errors(
             transient_io_rate, f"{fault_seed}/ambient-0"
         )
     media = (
         MediaErrorMap.from_rate(
-            layout.n, rows, PAPER_STRIPE_UNIT_KB, lse_per_gb,
+            layout.n, rows, PAPER_STRIPE_UNIT_KB, spec.lse_per_gb,
             seed=fault_seed,
         )
-        if lse_per_gb > 0
+        if spec.lse_per_gb > 0
         # Always constructed: LSE bursts and the scrubber need a map
         # even when nothing is seeded up front.
         else MediaErrorMap({})
-    )
-
-    # The scenario carries the lifecycle's repair knobs; its fault list
-    # is never armed — the schedule below injects failures itself.
-    first_failure = next(
-        (e for e in schedule.events if e.kind == "disk-failure"), None
-    )
-    scenario = FaultScenario(
-        failed_disk=first_failure.disk if first_failure is not None else 0,
-        fault_time_ms=(
-            first_failure.time_ms if first_failure is not None else 0.0
-        ),
-        degraded_dwell_ms=degraded_dwell_ms,
-        rebuild_rows=rows,
-        rebuild_parallel=rebuild_parallel,
     )
 
     tracker = ActiveFaultTracker()
@@ -304,7 +279,10 @@ def run_nemesis_trial(
             maybe_finish()
 
     lifecycle = ArrayLifecycle(
-        controller, scenario, media=media, on_transition=on_transition
+        controller,
+        spec.scenario(schedule),
+        media=media,
+        on_transition=on_transition,
     )
 
     # ------------------------------------------------------------------
@@ -316,7 +294,7 @@ def run_nemesis_trial(
     write_units = periods_swept * layout.data_units_per_period
     if write_units > controller.addressable_data_units:
         write_units = controller.addressable_data_units
-    access_spec = AccessSpec(size_kb=size_kb, is_write=is_write)
+    access_spec = AccessSpec(size_kb=spec.size_kb, is_write=spec.is_write)
     units = access_spec.units(PAPER_STRIPE_UNIT_KB)
 
     def on_response(client, access, response_ms) -> bool:
@@ -610,9 +588,9 @@ def run_nemesis_trial(
     stop_scrubber()  # fold any final generation into the accumulators
     recon = lifecycle.reconstructor
     record = {
-        "layout": layout_name,
+        "layout": spec.layout,
         "disks": layout.n,
-        "trial": trial,
+        "trial": spec.trial,
         "seed": seed,
         "schedule": schedule.to_dict(),
         "schedule_hash": schedule.content_hash(),

@@ -46,6 +46,31 @@ class CrashInjector:
         max_boundary: int = 64,
         on_crash: Optional[Callable[["CrashInjector"], None]] = None,
     ):
+        self.check_trigger(at_time_ms, at_boundary, seed, max_boundary)
+        self.controller = controller
+        self.at_time_ms = at_time_ms
+        self.on_crash = on_crash
+        if seed is not None:
+            rng = random.Random(f"{seed}/crash")
+            self.at_boundary: Optional[int] = rng.randrange(max_boundary)
+        else:
+            self.at_boundary = at_boundary
+        self.boundaries_seen = 0
+        self.fired = False
+        self.crashed_at_ms: Optional[float] = None
+        self.torn_accesses = 0
+        self.torn_stripes: List[int] = []
+        self.dropped_events = 0
+        self._armed = False
+
+    @staticmethod
+    def check_trigger(
+        at_time_ms: Optional[float],
+        at_boundary: Optional[int],
+        seed: Optional[int],
+        max_boundary: int,
+    ) -> None:
+        """Reject a trigger configuration the injector cannot fire."""
         configured = sum(
             x is not None for x in (at_time_ms, at_boundary, seed)
         )
@@ -64,21 +89,6 @@ class CrashInjector:
             raise ConfigurationError(
                 f"max_boundary must be >= 1, got {max_boundary}"
             )
-        self.controller = controller
-        self.at_time_ms = at_time_ms
-        self.on_crash = on_crash
-        if seed is not None:
-            rng = random.Random(f"{seed}/crash")
-            self.at_boundary: Optional[int] = rng.randrange(max_boundary)
-        else:
-            self.at_boundary = at_boundary
-        self.boundaries_seen = 0
-        self.fired = False
-        self.crashed_at_ms: Optional[float] = None
-        self.torn_accesses = 0
-        self.torn_stripes: List[int] = []
-        self.dropped_events = 0
-        self._armed = False
 
     def arm(self) -> None:
         """Install the trigger (schedule the time, or hook boundaries)."""

@@ -17,11 +17,12 @@ Hot-path representation: the forward and inverse maps are served from
 list-of-lists ``[disk][row]`` grid and ``data_unit_address`` a flat
 per-period array of ``(disk, row)`` cells — so the simulator's millions
 of address translations are two integer indexings each, with no
-namedtuple hashing and no per-call stripe materialisation.  The original
-``Dict[PhysicalAddress, UnitInfo]`` period table survives as
-:meth:`locate_reference` / :meth:`data_unit_address_reference`; the
-registry-wide property test in ``tests/layouts/test_flat_fast_path.py``
-pins the two paths cell-for-cell equal across multiple periods.
+namedtuple hashing and no per-call stripe materialisation.  Both tables
+are built straight from :meth:`Layout.stripe_units_in_period` and
+:meth:`Layout.spare_addresses_in_period`; the registry-wide property
+test in ``tests/layouts/test_flat_fast_path.py`` pins them cell-for-cell
+equal to an independent dict-keyed reference model across multiple
+periods.
 
 Stripes are cached only for the first period.  The planner reads a later
 period's stripe as its in-period cells plus an offset shift
@@ -60,7 +61,6 @@ class Layout(abc.ABC):
             )
         self.n = n
         self.k = k
-        self._locate_table: Optional[Dict[PhysicalAddress, UnitInfo]] = None
         self._stripe_cache: Dict[int, StripeUnits] = {}
         # Flat fast-path tables (built lazily, see _build_flat_tables).
         self._locate_grid: Optional[List[List[UnitInfo]]] = None
@@ -244,14 +244,6 @@ class Layout(abc.ABC):
         """Physical cell of a client data unit."""
         return PhysicalAddress(*self.data_unit_cell(unit))
 
-    def data_unit_address_reference(self, unit: int) -> PhysicalAddress:
-        """Reference path for :meth:`data_unit_address`: materialise the
-        whole stripe and index its data list (the pre-flat-table
-        implementation, kept for the equivalence property test)."""
-        stripe = self.stripe_of_data_unit(unit)
-        position = unit % self.data_per_stripe
-        return self.stripe_units(stripe).data[position]
-
     def data_units_of_stripe(self, stripe_id: int) -> range:
         """Client data units stored in the given global stripe."""
         lo = stripe_id * self.data_per_stripe
@@ -284,53 +276,10 @@ class Layout(abc.ABC):
             position=info.position,
         )
 
-    def locate_reference(self, disk: int, offset: int) -> UnitInfo:
-        """Reference path for :meth:`locate`: the dict-keyed period table
-        (the pre-flat-table implementation, kept for the equivalence
-        property test)."""
-        if not 0 <= disk < self.n:
-            raise MappingError(f"disk {disk} outside 0..{self.n - 1}")
-        if offset < 0:
-            raise MappingError(f"negative offset {offset}")
-        cycle, row = divmod(offset, self.period)
-        info = self._period_table()[PhysicalAddress(disk, row)]
-        if info.role is Role.SPARE:
-            return info
-        return UnitInfo(
-            role=info.role,
-            stripe=info.stripe + cycle * self.stripes_per_period,
-            position=info.position,
-        )
-
-    def _period_table(self) -> Dict[PhysicalAddress, UnitInfo]:
-        if self._locate_table is None:
-            table: Dict[PhysicalAddress, UnitInfo] = {}
-            for s in range(self.stripes_per_period):
-                units = self.stripe_units_in_period(s)
-                for j, addr in enumerate(units.data):
-                    self._table_insert(table, addr, UnitInfo(Role.DATA, s, j))
-                for j, addr in enumerate(units.check):
-                    self._table_insert(
-                        table,
-                        addr,
-                        UnitInfo(Role.CHECK, s, self.data_per_stripe + j),
-                    )
-            for addr in self.spare_addresses_in_period():
-                self._table_insert(table, addr, UnitInfo(Role.SPARE, -1, -1))
-            expected = self.period * self.n
-            if len(table) != expected:
-                raise MappingError(
-                    f"{self.name}: pattern covers {len(table)} cells,"
-                    f" expected {expected}"
-                )
-            self._locate_table = table
-        return self._locate_table
-
     def _build_flat_tables(
         self,
     ) -> Tuple[List[List[UnitInfo]], List[Tuple[int, int]]]:
-        """Build and cache the flat fast-path tables from the dict-keyed
-        period table.
+        """Build and cache the flat fast-path tables from the forward map.
 
         - ``grid[disk][row]``: the :class:`UnitInfo` of every cell of one
           pattern (the inverse map, minus hashing);
@@ -338,43 +287,51 @@ class Layout(abc.ABC):
           ``(disk, row)`` cell of every client data unit of one pattern
           (the forward map, minus stripe materialisation).
 
-        Deriving both from :meth:`_period_table` reuses its
-        every-cell-covered-exactly-once validation and keeps the fast
-        path equal to the reference by construction.
+        Every cell of the ``n x period`` pattern must hold exactly one
+        unit: a cell outside the pattern, a cell mapped twice, or an
+        uncovered cell raises :class:`MappingError`.
         """
-        table = self._period_table()
+        n = self.n
         period = self.period
+        per_stripe = self.data_per_stripe
         grid: List[List[UnitInfo]] = [
-            [None] * period for _ in range(self.n)  # type: ignore[list-item]
+            [None] * period for _ in range(n)  # type: ignore[list-item]
         ]
         data_cells: List[Tuple[int, int]] = [
             None  # type: ignore[list-item]
-        ] * (self.stripes_per_period * self.data_per_stripe)
-        per_stripe = self.data_per_stripe
-        for (disk, row), info in table.items():
-            grid[disk][row] = info
-            if info.role is Role.DATA:
-                data_cells[info.stripe * per_stripe + info.position] = (
-                    disk,
-                    row,
+        ] * (self.stripes_per_period * per_stripe)
+        covered = 0
+
+        def place(addr: PhysicalAddress, info: UnitInfo) -> None:
+            nonlocal covered
+            disk, row = addr
+            if not 0 <= disk < n or not 0 <= row < period:
+                raise MappingError(
+                    f"{self.name}: cell {addr} outside the layout pattern"
                 )
+            if grid[disk][row] is not None:
+                raise MappingError(f"{self.name}: cell {addr} mapped twice")
+            grid[disk][row] = info
+            covered += 1
+
+        for s in range(self.stripes_per_period):
+            units = self.stripe_units_in_period(s)
+            for j, addr in enumerate(units.data):
+                place(addr, UnitInfo(Role.DATA, s, j))
+                data_cells[s * per_stripe + j] = (addr.disk, addr.offset)
+            for j, addr in enumerate(units.check):
+                place(addr, UnitInfo(Role.CHECK, s, per_stripe + j))
+        for addr in self.spare_addresses_in_period():
+            place(addr, UnitInfo(Role.SPARE, -1, -1))
+        expected = period * n
+        if covered != expected:
+            raise MappingError(
+                f"{self.name}: pattern covers {covered} cells,"
+                f" expected {expected}"
+            )
         self._locate_grid = grid
         self._data_cells = data_cells
         return grid, data_cells
-
-    def _table_insert(
-        self,
-        table: Dict[PhysicalAddress, UnitInfo],
-        addr: PhysicalAddress,
-        info: UnitInfo,
-    ) -> None:
-        if not 0 <= addr.disk < self.n or not 0 <= addr.offset < self.period:
-            raise MappingError(
-                f"{self.name}: cell {addr} outside the layout pattern"
-            )
-        if addr in table:
-            raise MappingError(f"{self.name}: cell {addr} mapped twice")
-        table[addr] = info
 
     # ------------------------------------------------------------------
     # Sparing hooks (overridden by layouts with distributed spare space).
@@ -398,7 +355,8 @@ class Layout(abc.ABC):
         - every cell of the ``period x n`` grid is used exactly once,
         - no stripe places two units on the same disk (goal #1).
         """
-        self._period_table()
+        if self._locate_grid is None:
+            self._build_flat_tables()
         for s in range(self.stripes_per_period):
             disks = self.stripe_units_in_period(s).disks()
             if len(set(disks)) != len(disks):

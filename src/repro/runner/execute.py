@@ -9,6 +9,7 @@ from the cache (floats round-trip exactly through ``json``).  Use
 
 from __future__ import annotations
 
+import importlib
 import json
 from typing import List
 
@@ -143,200 +144,44 @@ def _execute_lifecycle(spec: LifecycleSpec) -> dict:
     return record
 
 
-def _execute_campaign_trial(
-    spec: CampaignTrialSpec, layout=None, instrument_out=None
-) -> dict:
-    from repro.experiments.campaign import run_campaign_trial
-
-    return {
-        "trial": run_campaign_trial(
-            spec.layout,
-            spec.scenario(),
-            trial=spec.trial,
-            seed=spec.seed,
-            clients=spec.clients,
-            size_kb=spec.size_kb,
-            is_write=spec.is_write,
-            disks=spec.disks,
-            width=spec.width,
-            oracle=spec.oracle,
-            layout=layout,
-            instrument_out=instrument_out,
-        )
-    }
-
-
-def _execute_crash_trial(spec: CrashTrialSpec, layout=None) -> dict:
-    from repro.experiments.crashtrial import run_crash_trial
-
-    return {
-        "crash_trial": run_crash_trial(
-            spec.layout,
-            layout=layout,
-            disks=spec.disks,
-            width=spec.width,
-            clients=spec.clients,
-            size_kb=spec.size_kb,
-            seed=spec.seed,
-            journal=spec.journal,
-            journal_latency_ms=spec.journal_latency_ms,
-            crash_time_ms=spec.crash_time_ms,
-            crash_boundary=spec.crash_boundary,
-            crash_seed=spec.crash_seed,
-            crash_max_boundary=spec.crash_max_boundary,
-            fail_disk_at_ms=spec.fail_disk_at_ms,
-            failed_disk=spec.failed_disk,
-            transient_io_rate=spec.transient_io_rate,
-            restart_delay_ms=spec.restart_delay_ms,
-            resync_rows=spec.resync_rows,
-            resync_parallel=spec.resync_parallel,
-            max_pre_samples=spec.max_pre_samples,
-            post_samples=spec.post_samples,
-        )
-    }
+#: Trial kinds: the key their record nests under, and the module and
+#: name of their trial function, ``run(spec, layout=None) -> dict``.
+#: Modules load on first use, so importing the runner loads no harness.
+_TRIALS = {
+    OpenLoopSpec.kind: (
+        "openloop", "repro.experiments.openloop", "run_openloop_trial"
+    ),
+    FailSlowTrialSpec.kind: (
+        "failslow", "repro.experiments.failslow", "run_failslow_trial"
+    ),
+    CorruptionTrialSpec.kind: (
+        "corruption", "repro.experiments.corruption", "run_corruption_trial"
+    ),
+    NemesisTrialSpec.kind: (
+        "nemesis_trial",
+        "repro.experiments.nemesistrial",
+        "run_nemesis_trial",
+    ),
+    CrashTrialSpec.kind: (
+        "crash_trial", "repro.experiments.crashtrial", "run_crash_trial"
+    ),
+    CampaignTrialSpec.kind: (
+        "trial", "repro.experiments.campaign", "run_campaign_trial"
+    ),
+}
 
 
-def _execute_nemesis_trial(spec: NemesisTrialSpec, layout=None) -> dict:
-    from repro.experiments.nemesistrial import run_nemesis_trial
-
-    return {
-        "nemesis_trial": run_nemesis_trial(
-            spec.layout,
-            spec.schedule(),
-            layout=layout,
-            trial=spec.trial,
-            seed=spec.seed,
-            clients=spec.clients,
-            size_kb=spec.size_kb,
-            is_write=spec.is_write,
-            disks=spec.disks,
-            width=spec.width,
-            rows=spec.rows,
-            degraded_dwell_ms=spec.degraded_dwell_ms,
-            rebuild_parallel=spec.rebuild_parallel,
-            journal=spec.journal,
-            journal_latency_ms=spec.journal_latency_ms,
-            scrub_interval_ms=spec.scrub_interval_ms,
-            scrub_throttle_ms=spec.scrub_throttle_ms,
-            restart_delay_ms=spec.restart_delay_ms,
-            max_samples=spec.max_samples,
-            transient_io_rate=spec.transient_io_rate,
-            lse_per_gb=spec.lse_per_gb,
-            checksums=spec.checksums,
-        )
-    }
-
-
-def _execute_openloop(spec: OpenLoopSpec, layout=None) -> dict:
-    from repro.experiments.openloop import run_openloop_trial
-
-    return {
-        "openloop": run_openloop_trial(
-            spec.layout,
-            spec.rate_per_s,
-            layout=layout,
-            arrival=spec.arrival,
-            phase=spec.phase,
-            arrivals=spec.arrivals,
-            seed=spec.seed,
-            size_kb=spec.size_kb,
-            is_write=spec.is_write,
-            disks=spec.disks,
-            width=spec.width,
-            burst_ratio=spec.burst_ratio,
-            burst_fraction=spec.burst_fraction,
-            burst_dwell_ms=spec.burst_dwell_ms,
-            trace_period_ms=spec.trace_period_ms,
-            failed_disk=spec.failed_disk,
-            degraded_dwell_ms=spec.degraded_dwell_ms,
-            rebuild_parallel=spec.rebuild_parallel,
-            rebuild_throttle_ms=spec.rebuild_throttle_ms,
-            queue_depth=spec.queue_depth,
-            service_slots=spec.service_slots,
-            slo_p99_ms=spec.slo_p99_ms,
-            slo_p999_ms=spec.slo_p999_ms,
-            window_ms=spec.window_ms,
-            overload_windows=spec.overload_windows,
-            horizon_ms=spec.horizon_ms,
-            record_timelines=spec.timelines,
-        )
-    }
-
-
-def _execute_failslow(spec: FailSlowTrialSpec, layout=None) -> dict:
-    from repro.experiments.failslow import run_failslow_trial
-
-    return {
-        "failslow": run_failslow_trial(
-            spec.layout,
-            spec.rate_per_s,
-            layout=layout,
-            defense=spec.defense,
-            arrivals=spec.arrivals,
-            seed=spec.seed,
-            size_kb=spec.size_kb,
-            disks=spec.disks,
-            width=spec.width,
-            failed_disk=spec.failed_disk,
-            slow_disk=spec.slow_disk,
-            slow_multiplier=spec.slow_multiplier,
-            degraded_dwell_ms=spec.degraded_dwell_ms,
-            rebuild_rows=spec.rebuild_rows,
-            rebuild_parallel=spec.rebuild_parallel,
-            rebuild_throttle_ms=spec.rebuild_throttle_ms,
-            hedge_deferral_ms=spec.hedge_deferral_ms,
-            adaptive_max_ms=spec.adaptive_max_ms,
-            queue_depth=spec.queue_depth,
-            service_slots=spec.service_slots,
-            slo_p99_ms=spec.slo_p99_ms,
-            slo_p999_ms=spec.slo_p999_ms,
-            window_ms=spec.window_ms,
-            horizon_ms=spec.horizon_ms,
-        )
-    }
-
-
-def _execute_corruption(spec: CorruptionTrialSpec, layout=None) -> dict:
-    from repro.experiments.corruption import run_corruption_trial
-
-    return {
-        "corruption": run_corruption_trial(
-            spec.layout,
-            layout=layout,
-            defense=spec.defense,
-            trial=spec.trial,
-            seed=spec.seed,
-            lost_rate=spec.lost_rate,
-            misdirected_rate=spec.misdirected_rate,
-            bitrot_cells=spec.bitrot_cells,
-            rate_per_s=spec.rate_per_s,
-            arrivals=spec.arrivals,
-            read_fraction=spec.read_fraction,
-            span_units=spec.span_units,
-            size_kb=spec.size_kb,
-            disks=spec.disks,
-            width=spec.width,
-            fail_at_ms=spec.fail_at_ms,
-            failed_disk=spec.failed_disk,
-            checksum_latency_ms=spec.checksum_latency_ms,
-            scrub_interval_ms=spec.scrub_interval_ms,
-            queue_depth=spec.queue_depth,
-            service_slots=spec.service_slots,
-            horizon_ms=spec.horizon_ms,
-        )
-    }
+def _run_trial(spec: Spec, layout=None, **extra) -> dict:
+    """Run a trial kind's function and nest its result under its key."""
+    key, module, name = _TRIALS[spec.kind]
+    run = getattr(importlib.import_module(module), name)
+    return {key: run(spec, layout, **extra)}
 
 
 _EXECUTORS = {
     ExperimentSpec.kind: _execute_response,
     Table1Spec.kind: _execute_table1,
     LifecycleSpec.kind: _execute_lifecycle,
-    CampaignTrialSpec.kind: _execute_campaign_trial,
-    CrashTrialSpec.kind: _execute_crash_trial,
-    NemesisTrialSpec.kind: _execute_nemesis_trial,
-    OpenLoopSpec.kind: _execute_openloop,
-    FailSlowTrialSpec.kind: _execute_failslow,
-    CorruptionTrialSpec.kind: _execute_corruption,
 }
 
 
@@ -350,6 +195,8 @@ def _finalize(record: dict, spec: Spec) -> dict:
 
 def execute_spec(spec: Spec) -> dict:
     """Run one spec to completion and return its result record."""
+    if spec.kind in _TRIALS:
+        return _finalize(_run_trial(spec), spec)
     executor = _EXECUTORS.get(spec.kind)
     if executor is None:
         raise ConfigurationError(f"no executor for spec kind {spec.kind!r}")
@@ -396,16 +243,7 @@ class BatchedTrialExecutor:
     """
 
     #: Kinds whose trial functions accept a shared ``layout``.
-    BATCHABLE = frozenset(
-        {
-            CampaignTrialSpec.kind,
-            CrashTrialSpec.kind,
-            NemesisTrialSpec.kind,
-            OpenLoopSpec.kind,
-            FailSlowTrialSpec.kind,
-            CorruptionTrialSpec.kind,
-        }
-    )
+    BATCHABLE = frozenset(_TRIALS)
 
     def __init__(self) -> None:
         self._layouts: dict = {}
@@ -433,12 +271,10 @@ class BatchedTrialExecutor:
         layout = self.shared_layout(spec)
         if kind == CampaignTrialSpec.kind:
             counters: dict = {}
-            record = _execute_campaign_trial(
-                spec, layout=layout, instrument_out=counters
-            )
+            record = _run_trial(spec, layout, instrument_out=counters)
             self.events_processed += counters.get("events_processed", 0)
         else:
-            record = _EXECUTORS[kind](spec, layout=layout)
+            record = _run_trial(spec, layout)
             self.events_processed += _record_events(record)
         self.trials_executed += 1
         return _finalize(record, spec)

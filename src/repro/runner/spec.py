@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, Optional, Union
 
@@ -56,6 +57,14 @@ def mode_name(mode: ArrayMode) -> str:
     raise ConfigurationError(f"unknown array mode {mode!r}")
 
 
+def _check_access(size_kb: int, is_write: bool) -> None:
+    """Build the access stream a run builds, so a bad size fails here."""
+    from repro.experiments.config import PAPER_STRIPE_UNIT_KB
+    from repro.workload.spec import AccessSpec
+
+    AccessSpec(size_kb, is_write).units(PAPER_STRIPE_UNIT_KB)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One response-time simulation point (Figures 5/6/8/9/...).
@@ -97,6 +106,7 @@ class ExperimentSpec:
             raise ConfigurationError(f"need >= 1 client, got {self.clients}")
         if self.max_samples < 1:
             raise ConfigurationError("need >= 1 sample")
+        _check_access(self.size_kb, self.is_write)
 
 
 @dataclass(frozen=True)
@@ -163,6 +173,7 @@ class LifecycleSpec:
             raise ConfigurationError(f"need >= 1 client, got {self.clients}")
         if self.max_samples < 1 or self.post_samples < 1:
             raise ConfigurationError("need positive sample bounds")
+        _check_access(self.size_kb, self.is_write)
         # Fault/rebuild field validation (exactly-one-of, ranges) lives
         # in FaultScenario; build one now so bad specs fail at
         # construction, not mid-sweep in a worker.
@@ -232,6 +243,8 @@ class CampaignTrialSpec:
             raise ConfigurationError(
                 f"negative client count {self.clients}"
             )
+        if self.clients > 0:
+            _check_access(self.size_kb, self.is_write)
         # Fault/media/scrub validation lives in FaultScenario; build one
         # now so bad specs fail at construction, not mid-campaign.
         self.scenario()
@@ -299,6 +312,8 @@ class CrashTrialSpec:
     post_samples: int = 50
 
     def __post_init__(self):
+        from repro.faults.crash import CrashInjector
+
         if self.clients < 1:
             raise ConfigurationError(f"need >= 1 client, got {self.clients}")
         configured = sum(
@@ -310,6 +325,12 @@ class CrashTrialSpec:
                 "set exactly one of crash_time_ms, crash_boundary,"
                 f" crash_seed (got {configured})"
             )
+        CrashInjector.check_trigger(
+            self.crash_time_ms,
+            self.crash_boundary,
+            self.crash_seed,
+            self.crash_max_boundary,
+        )
         if self.journal_latency_ms < 0:
             raise ConfigurationError(
                 f"negative journal latency {self.journal_latency_ms}"
@@ -337,6 +358,7 @@ class CrashTrialSpec:
             raise ConfigurationError("need >= 1 resync slot")
         if self.max_pre_samples < 1 or self.post_samples < 0:
             raise ConfigurationError("need positive sample bounds")
+        _check_access(self.size_kb, True)
 
 
 @dataclass(frozen=True)
@@ -399,6 +421,8 @@ class NemesisTrialSpec:
     checksums: bool = False
 
     def __post_init__(self):
+        from repro.array.journal import StripeJournal
+
         if self.trial < 0:
             raise ConfigurationError(f"negative trial index {self.trial}")
         if self.clients < 0:
@@ -412,10 +436,18 @@ class NemesisTrialSpec:
                 "transient I/O rate must be in [0, 1), got"
                 f" {self.transient_io_rate}"
             )
+        if self.restart_delay_ms < 0:
+            raise ConfigurationError(
+                f"negative restart delay {self.restart_delay_ms}"
+            )
+        if self.journal:
+            StripeJournal(self.journal_latency_ms)
+        _check_access(self.size_kb, self.is_write)
         # Envelope validation (ranges, rates, windows) lives in
-        # NemesisSchedule.draw/validate; draw the schedule now so bad
-        # specs fail at construction, not mid-campaign in a worker.
-        self.schedule()
+        # NemesisSchedule.draw/validate and the repair knobs' in
+        # FaultScenario; build both now so bad specs fail at
+        # construction, not mid-campaign in a worker.
+        self.scenario(self.schedule())
 
     def schedule(self):
         """The :class:`~repro.faults.nemesis.NemesisSchedule` this encodes."""
@@ -436,6 +468,30 @@ class NemesisTrialSpec:
             failslow_multiplier=self.failslow_multiplier,
             max_corruption_bursts=self.max_corruption_bursts,
             corruption_rate=self.corruption_rate,
+        )
+
+    def scenario(self, schedule):
+        """The lifecycle's repair knobs as a
+        :class:`~repro.faults.scenario.FaultScenario`.
+
+        Its fault list is never armed: ``schedule`` injects failures
+        itself, and only its first disk failure seeds the scenario.
+        """
+        from repro.faults.scenario import FaultScenario
+
+        first_failure = next(
+            (e for e in schedule.events if e.kind == "disk-failure"), None
+        )
+        return FaultScenario(
+            failed_disk=(
+                first_failure.disk if first_failure is not None else 0
+            ),
+            fault_time_ms=(
+                first_failure.time_ms if first_failure is not None else 0.0
+            ),
+            degraded_dwell_ms=self.degraded_dwell_ms,
+            rebuild_rows=self.rows,
+            rebuild_parallel=self.rebuild_parallel,
         )
 
 
@@ -527,6 +583,59 @@ class OpenLoopSpec:
                 f"bad failed disk {self.failed_disk}"
             )
         SloPolicy(p99_ms=self.slo_p99_ms, p999_ms=self.slo_p999_ms)
+        _check_access(self.size_kb, self.is_write)
+        self.scenario()
+        self.arrival_process(random.Random(0))
+
+    def scenario(self):
+        """The phase's :class:`~repro.faults.scenario.FaultScenario`, or
+        ``None`` for the fault-free phase.
+
+        The degraded phase stretches the dwell past the horizon so the
+        rebuild never starts; the rebuild phase sweeps the whole disk,
+        throttled, so reconstruction is in flight for the entire
+        measurement window.
+        """
+        from repro.experiments.openloop import FAULT_AT_MS, SETTLE_MS
+        from repro.faults.scenario import FaultScenario
+
+        if self.phase == "ff":
+            return None
+        return FaultScenario(
+            failed_disk=self.failed_disk,
+            fault_time_ms=FAULT_AT_MS,
+            degraded_dwell_ms=(
+                self.horizon_ms + SETTLE_MS
+                if self.phase == "degraded"
+                else self.degraded_dwell_ms
+            ),
+            rebuild_rows=None,
+            rebuild_parallel=self.rebuild_parallel,
+            rebuild_throttle_ms=self.rebuild_throttle_ms,
+        )
+
+    def arrival_process(self, rng: random.Random):
+        """The :class:`~repro.traffic.arrivals.ArrivalProcess` this
+        encodes, drawing from ``rng``."""
+        from repro.traffic.arrivals import (
+            MMPPArrivals,
+            PoissonArrivals,
+            TraceArrivals,
+        )
+
+        if self.arrival == "mmpp":
+            return MMPPArrivals.bursty(
+                self.rate_per_s,
+                self.burst_ratio,
+                self.burst_fraction,
+                self.burst_dwell_ms,
+                rng,
+            )
+        if self.arrival == "trace":
+            return TraceArrivals.diurnal(
+                self.rate_per_s, self.trace_period_ms, rng
+            )
+        return PoissonArrivals(self.rate_per_s, rng)
 
 
 @dataclass(frozen=True)
@@ -632,6 +741,26 @@ class FailSlowTrialSpec:
             )
         SloPolicy(p99_ms=self.slo_p99_ms, p999_ms=self.slo_p999_ms)
         HedgePolicy(deferral_ms=self.hedge_deferral_ms)
+        _check_access(self.size_kb, False)
+        self.scenario()
+
+    def scenario(self):
+        """The scripted failure and its rebuild as a
+        :class:`~repro.faults.scenario.FaultScenario`."""
+        from repro.experiments.failslow import FAULT_AT_MS
+        from repro.faults.scenario import FaultScenario
+
+        return FaultScenario(
+            failed_disk=self.failed_disk,
+            fault_time_ms=FAULT_AT_MS,
+            degraded_dwell_ms=self.degraded_dwell_ms,
+            rebuild_rows=self.rebuild_rows,
+            rebuild_parallel=self.rebuild_parallel,
+            # The undefended baseline pays this static idle gap per
+            # rebuild step; the adaptive defense replaces it with the
+            # AIMD decision.
+            rebuild_throttle_ms=self.rebuild_throttle_ms,
+        )
 
 
 @dataclass(frozen=True)
@@ -743,6 +872,7 @@ class CorruptionTrialSpec:
             raise ConfigurationError(
                 f"horizon must be positive, got {self.horizon_ms}"
             )
+        _check_access(self.size_kb, False)
 
 
 Spec = Union[

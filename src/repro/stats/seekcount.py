@@ -51,8 +51,8 @@ def seek_mix_per_access(
     """Aggregate per-disk counters into the per-access mix.
 
     >>> s = DiskStats()
-    >>> s.record(DiskOpClass.NON_LOCAL_SEEK, 8.0, 3.0, 1.0)
-    >>> s.record(DiskOpClass.NO_SWITCH, 0.0, 3.0, 1.0)
+    >>> s.by_class[DiskOpClass.NON_LOCAL_SEEK] += 1
+    >>> s.by_class[DiskOpClass.NO_SWITCH] += 1
     >>> seek_mix_per_access([s], 2).total
     1.0
     """

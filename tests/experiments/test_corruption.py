@@ -24,32 +24,38 @@ from repro.runner import (
 QUICK = dict(arrivals=120, trial=0, seed=0)
 
 
+def quick(defense: str, **fields) -> CorruptionTrialSpec:
+    return CorruptionTrialSpec(
+        layout="pddl", defense=defense, **QUICK, **fields
+    )
+
+
 class TestTrialMechanics:
     def test_trial_accounts_every_arrival(self):
-        record = run_corruption_trial("pddl", "none", **QUICK)
+        record = run_corruption_trial(quick("none"))
         assert record["offered"] == 120
         assert record["completed"] + record["shed"] == 120
         assert record["classification"] in OUTCOMES
         json.dumps(record)  # the record must be JSON-able as-is
 
     def test_defense_keys_are_gated(self):
-        none = run_corruption_trial("pddl", "none", **QUICK)
+        none = run_corruption_trial(quick("none"))
         assert "checksum" not in none
         assert "scrub_audit" not in none
-        checksum = run_corruption_trial("pddl", "checksum", **QUICK)
+        checksum = run_corruption_trial(quick("checksum"))
         assert "checksum" in checksum and "scrub_audit" not in checksum
-        audit = run_corruption_trial("pddl", "audit", **QUICK)
+        audit = run_corruption_trial(quick("audit"))
         assert "checksum" in audit and "scrub_audit" in audit
 
     def test_undefended_trial_serves_silent_corruption(self):
-        record = run_corruption_trial("pddl", "none", **QUICK)
+        record = run_corruption_trial(quick("none"))
         assert record["corruption"]["silent_total"] > 0
         assert record["classification"] == "silent_corruption"
         assert record["oracle"]["corruption_events"] > 0
 
     @pytest.mark.parametrize("defense", ["checksum", "verify", "audit"])
     def test_defended_tiers_never_serve_garbage(self, defense):
-        record = run_corruption_trial("pddl", defense, **QUICK)
+        record = run_corruption_trial(quick(defense))
         ledger = record["corruption"]
         assert ledger["silent_total"] == 0
         assert ledger["detected_total"] > 0
@@ -57,16 +63,16 @@ class TestTrialMechanics:
         assert record["oracle"]["corruption_events"] == 0
 
     def test_audit_drains_latent_cells(self):
-        checksum = run_corruption_trial("pddl", "checksum", **QUICK)
-        audit = run_corruption_trial("pddl", "audit", **QUICK)
+        checksum = run_corruption_trial(quick("checksum"))
+        audit = run_corruption_trial(quick("audit"))
         assert audit["corruption"]["remaining"] <= checksum[
             "corruption"
         ]["remaining"]
         assert audit["scrub_audit"]["stripes_audited"] > 0
 
     def test_defenses_cost_latency(self):
-        none = run_corruption_trial("pddl", "none", **QUICK)
-        verify = run_corruption_trial("pddl", "verify", **QUICK)
+        none = run_corruption_trial(quick("none"))
+        verify = run_corruption_trial(quick("verify"))
         assert (
             verify["latency"]["write"]["mean_ms"]
             > none["latency"]["write"]["mean_ms"]
@@ -74,14 +80,18 @@ class TestTrialMechanics:
 
     def test_degraded_trial_still_defended(self):
         record = run_corruption_trial(
-            "pddl", "checksum", fail_at_ms=5_000.0, **QUICK
+            quick("checksum", fail_at_ms=5_000.0)
         )
         assert record["corruption"]["silent_total"] == 0
         assert record["transitions"]
 
     def test_trials_decorrelate(self):
-        a = run_corruption_trial("pddl", "none", arrivals=120, trial=0)
-        b = run_corruption_trial("pddl", "none", arrivals=120, trial=1)
+        a = run_corruption_trial(
+            CorruptionTrialSpec(layout="pddl", arrivals=120, trial=0)
+        )
+        b = run_corruption_trial(
+            CorruptionTrialSpec(layout="pddl", arrivals=120, trial=1)
+        )
         assert (
             a["corruption"]["cells_corrupted"]
             != b["corruption"]["cells_corrupted"]
@@ -91,13 +101,13 @@ class TestTrialMechanics:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            run_corruption_trial("pddl", "prayer", **QUICK)
+            quick("prayer")
         with pytest.raises(ConfigurationError):
-            run_corruption_trial("pddl", "none", lost_rate=1.5)
+            CorruptionTrialSpec(layout="pddl", lost_rate=1.5)
         with pytest.raises(ConfigurationError):
-            run_corruption_trial("pddl", "none", arrivals=0)
+            CorruptionTrialSpec(layout="pddl", arrivals=0)
         with pytest.raises(ConfigurationError):
-            run_corruption_trial("pddl", "none", span_units=0)
+            CorruptionTrialSpec(layout="pddl", span_units=0)
 
 
 class TestSummary:
@@ -109,7 +119,7 @@ class TestSummary:
 
     def test_summary_contrasts_tiers(self):
         records = [
-            run_corruption_trial("pddl", defense, **QUICK)
+            run_corruption_trial(quick(defense))
             for defense in DEFENSES
         ]
         summary = summarize_corruption(records)

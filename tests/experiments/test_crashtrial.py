@@ -9,14 +9,19 @@ from repro.experiments.crashtrial import (
     summarize_crash,
 )
 from repro.runner import canonical_json
+from repro.runner.spec import CrashTrialSpec
 
 QUICK = dict(clients=2, seed=1, crash_boundary=30, max_pre_samples=60,
              post_samples=10)
 
 
+def quick(**fields) -> CrashTrialSpec:
+    return CrashTrialSpec(layout="pddl", **QUICK, **fields)
+
+
 class TestOutcomes:
     def test_journaled_crash_recovers_by_replaying_the_dirty_set(self):
-        record = run_crash_trial("pddl", **QUICK)
+        record = run_crash_trial(quick())
         assert record["classification"] == "recovered"
         assert record["crash"]["fired"]
         resync = record["resync"]
@@ -35,8 +40,8 @@ class TestOutcomes:
         assert record["post"]["samples"] == 10
 
     def test_journal_off_full_sweep_is_the_expensive_baseline(self):
-        journaled = run_crash_trial("pddl", **QUICK)
-        swept = run_crash_trial("pddl", journal=False, **QUICK)
+        journaled = run_crash_trial(quick())
+        swept = run_crash_trial(quick(journal=False))
         assert swept["classification"] == "recovered"
         assert swept["journal_latency_ms"] is None
         # Same crash, same consistency outcome — wildly more work.
@@ -49,9 +54,11 @@ class TestOutcomes:
 
     def test_crash_while_degraded_hits_the_write_hole(self):
         record = run_crash_trial(
-            "raid5", disks=5, width=5, clients=4, seed=3,
-            crash_boundary=40, fail_disk_at_ms=5.0, failed_disk=2,
-            max_pre_samples=120, post_samples=10,
+            CrashTrialSpec(
+                layout="raid5", disks=5, width=5, clients=4, seed=3,
+                crash_boundary=40, fail_disk_at_ms=5.0, failed_disk=2,
+                max_pre_samples=120, post_samples=10,
+            )
         )
         assert record["degraded"]
         assert record["classification"] == "data_loss"
@@ -61,8 +68,10 @@ class TestOutcomes:
 
     def test_boundary_past_the_workload_is_no_crash(self):
         record = run_crash_trial(
-            "pddl", clients=1, seed=0, crash_boundary=100000,
-            max_pre_samples=30, post_samples=5,
+            CrashTrialSpec(
+                layout="pddl", clients=1, seed=0, crash_boundary=100000,
+                max_pre_samples=30, post_samples=5,
+            )
         )
         assert record["classification"] == "no_crash"
         assert not record["crash"]["fired"]
@@ -70,8 +79,10 @@ class TestOutcomes:
 
     def test_transient_errors_ride_along_and_are_recovered(self):
         record = run_crash_trial(
-            "pddl", transient_io_rate=0.05, clients=2, seed=2,
-            crash_boundary=30, max_pre_samples=60, post_samples=10,
+            CrashTrialSpec(
+                layout="pddl", transient_io_rate=0.05, clients=2, seed=2,
+                crash_boundary=30, max_pre_samples=60, post_samples=10,
+            )
         )
         assert record["classification"] == "recovered"
         recovery = record["io_recovery"]
@@ -81,17 +92,17 @@ class TestOutcomes:
 
     def test_io_recovery_key_only_appears_when_enabled(self):
         # Byte-determinism: inactive features add no record keys.
-        record = run_crash_trial("pddl", **QUICK)
+        record = run_crash_trial(quick())
         assert "io_recovery" not in record
 
     def test_trials_are_deterministic(self):
-        first = run_crash_trial("pddl", **QUICK)
-        second = run_crash_trial("pddl", **QUICK)
+        first = run_crash_trial(quick())
+        second = run_crash_trial(quick())
         assert canonical_json(first) == canonical_json(second)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            run_crash_trial("pddl", clients=0)
+            CrashTrialSpec(layout="pddl", clients=0, crash_boundary=30)
 
 
 class TestJournalLatency:
@@ -108,17 +119,25 @@ class TestJournalLatency:
                 max_pre_samples=150, post_samples=10)
 
     def test_submillisecond_append_is_rotationally_absorbed(self):
-        baseline = run_crash_trial("pddl", journal=False, **self.ARGS)
+        baseline = run_crash_trial(
+            CrashTrialSpec(layout="pddl", journal=False, **self.ARGS)
+        )
         journaled = run_crash_trial(
-            "pddl", journal_latency_ms=0.05, **self.ARGS
+            CrashTrialSpec(
+                layout="pddl", journal_latency_ms=0.05, **self.ARGS
+            )
         )
         assert journaled["pre"]["mean_ms"] == pytest.approx(
             baseline["pre"]["mean_ms"], abs=0.5
         )
 
     def test_slow_nvram_is_visible_in_the_curve(self):
-        baseline = run_crash_trial("pddl", journal=False, **self.ARGS)
-        slow = run_crash_trial("pddl", journal_latency_ms=5.0, **self.ARGS)
+        baseline = run_crash_trial(
+            CrashTrialSpec(layout="pddl", journal=False, **self.ARGS)
+        )
+        slow = run_crash_trial(
+            CrashTrialSpec(layout="pddl", journal_latency_ms=5.0, **self.ARGS)
+        )
         assert (
             slow["pre"]["mean_ms"] - baseline["pre"]["mean_ms"] > 2.0
         )
@@ -137,8 +156,8 @@ class TestSweepAndSummary:
 
     def test_summary_speedup(self):
         records = [
-            run_crash_trial("pddl", **QUICK),
-            run_crash_trial("pddl", journal=False, **QUICK),
+            run_crash_trial(quick()),
+            run_crash_trial(quick(journal=False)),
         ]
         summary = summarize_crash(records)
         assert summary["trials"] == 2

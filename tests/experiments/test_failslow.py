@@ -22,9 +22,13 @@ from repro.runner import (
 QUICK = dict(arrivals=150, rebuild_rows=60)
 
 
+def quick(layout: str = "pddl", **fields) -> FailSlowTrialSpec:
+    return FailSlowTrialSpec(layout=layout, **QUICK, **fields)
+
+
 class TestTrialMechanics:
     def test_trial_accounts_every_arrival(self):
-        record = run_failslow_trial("pddl", **QUICK)
+        record = run_failslow_trial(quick())
         assert record["offered"] == 150
         assert record["completed"] + record["shed"] == 150
         assert record["truncated"] is False
@@ -33,18 +37,18 @@ class TestTrialMechanics:
         json.dumps(record)  # the record must be JSON-able as-is
 
     def test_defense_keys_are_gated(self):
-        none = run_failslow_trial("pddl", defense="none", **QUICK)
+        none = run_failslow_trial(quick(defense="none"))
         assert "hedging" not in none
         assert "adaptive" not in none
-        hedge = run_failslow_trial("pddl", defense="hedge", **QUICK)
+        hedge = run_failslow_trial(quick(defense="hedge"))
         assert "hedging" in hedge and "adaptive" not in hedge
-        adaptive = run_failslow_trial("pddl", defense="adaptive", **QUICK)
+        adaptive = run_failslow_trial(quick(defense="adaptive"))
         assert "adaptive" in adaptive and "hedging" not in adaptive
-        both = run_failslow_trial("pddl", defense="both", **QUICK)
+        both = run_failslow_trial(quick(defense="both"))
         assert "hedging" in both and "adaptive" in both
 
     def test_hedge_accounting_balances(self):
-        record = run_failslow_trial("pddl", defense="hedge", **QUICK)
+        record = run_failslow_trial(quick(defense="hedge"))
         hedging = record["hedging"]
         assert hedging["launched"] > 0
         assert hedging["won"] + hedging["lost"] == hedging["launched"]
@@ -53,36 +57,36 @@ class TestTrialMechanics:
     def test_raid5_mid_rebuild_has_no_hedge_redundancy(self):
         # Every raid5 stripe contains the failed disk; until the sweep
         # frontier passes, a hedge has nothing to read from.
-        record = run_failslow_trial("raid5", defense="hedge", **QUICK)
+        record = run_failslow_trial(quick("raid5", defense="hedge"))
         hedging = record["hedging"]
         assert hedging["aborts"] > 0
         assert hedging["aborts"] >= hedging["won"]
 
     def test_adaptive_reacts_to_the_foreground(self):
-        record = run_failslow_trial("pddl", defense="adaptive", **QUICK)
+        record = run_failslow_trial(quick(defense="adaptive"))
         adaptive = record["adaptive"]
         assert adaptive["backoffs"] + adaptive["sprints"] > 0
         assert adaptive["peak_ms"] <= 512.0
 
     def test_horizon_truncates(self):
         record = run_failslow_trial(
-            "pddl", arrivals=400, horizon_ms=500.0
+            FailSlowTrialSpec(layout="pddl", arrivals=400, horizon_ms=500.0)
         )
         assert record["truncated"] is True
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            run_failslow_trial("pddl", defense="prayer")
+            FailSlowTrialSpec(layout="pddl", defense="prayer")
         with pytest.raises(ConfigurationError):
-            run_failslow_trial("pddl", arrivals=0)
+            FailSlowTrialSpec(layout="pddl", arrivals=0)
         with pytest.raises(ConfigurationError):
-            run_failslow_trial("pddl", slow_disk=0, failed_disk=0)
+            FailSlowTrialSpec(layout="pddl", slow_disk=0, failed_disk=0)
         with pytest.raises(ConfigurationError):
-            run_failslow_trial("pddl", slow_multiplier=1.0)
+            FailSlowTrialSpec(layout="pddl", slow_multiplier=1.0)
         with pytest.raises(ConfigurationError):
-            run_failslow_trial("pddl", horizon_ms=0.0)
+            FailSlowTrialSpec(layout="pddl", horizon_ms=0.0)
         with pytest.raises(ConfigurationError):
-            run_failslow_trial("pddl", slow_disk=99)
+            FailSlowTrialSpec(layout="pddl", slow_disk=99)
 
 
 class TestSummary:
@@ -98,7 +102,7 @@ class TestSummary:
 
     def test_summary_contrasts_defenses(self):
         records = [
-            run_failslow_trial("pddl", defense=defense, **QUICK)
+            run_failslow_trial(quick(defense=defense))
             for defense in ("none", "hedge", "adaptive")
         ]
         summary = summarize_failslow(records)

@@ -12,7 +12,7 @@ from repro.experiments.nemesistrial import (
     summarize_nemesis,
 )
 from repro.faults.nemesis import NemesisEvent, NemesisSchedule
-from repro.runner import ParallelRunner, canonical_json
+from repro.runner import NemesisTrialSpec, ParallelRunner, canonical_json
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -36,7 +36,8 @@ class TestScrubDefendsAgainstLatentErrors:
 
     def test_unscrubbed_array_loses_data(self):
         record = run_nemesis_trial(
-            "pddl", scripted(self.EVENTS), seed=3, scrub_interval_ms=None
+            NemesisTrialSpec(layout="pddl", seed=3, scrub_interval_ms=None),
+            schedule=scripted(self.EVENTS),
         )
         assert record["classification"] == "data_loss"
         assert "unreadable sector" in record["loss_reason"]
@@ -44,7 +45,8 @@ class TestScrubDefendsAgainstLatentErrors:
 
     def test_scrubbed_array_survives_the_same_schedule(self):
         record = run_nemesis_trial(
-            "pddl", scripted(self.EVENTS), seed=3, scrub_interval_ms=400.0
+            NemesisTrialSpec(layout="pddl", seed=3, scrub_interval_ms=400.0),
+            schedule=scripted(self.EVENTS),
         )
         assert record["classification"] == "survived"
         assert record["scrub"]["repaired"] >= 26
@@ -52,7 +54,8 @@ class TestScrubDefendsAgainstLatentErrors:
 
     def test_survival_is_not_an_oracle_blind_spot(self):
         record = run_nemesis_trial(
-            "pddl", scripted(self.EVENTS), seed=3, scrub_interval_ms=400.0
+            NemesisTrialSpec(layout="pddl", seed=3, scrub_interval_ms=400.0),
+            schedule=scripted(self.EVENTS),
         )
         assert record["oracle"]["corruption_events"] == 0
         assert record["oracle"]["rebuild_checks"] > 0
@@ -66,7 +69,8 @@ class TestClassification:
         schedule = scripted([NemesisEvent(time_ms=900.0, kind="crash")])
         for journal in (True, False):
             record = run_nemesis_trial(
-                "pddl", schedule, seed=5, journal=journal
+                NemesisTrialSpec(layout="pddl", seed=5, journal=journal),
+                schedule=schedule,
             )
             assert record["classification"] == "survived"
             assert len(record["crashes"]) == 1
@@ -76,7 +80,9 @@ class TestClassification:
         schedule = scripted(
             [NemesisEvent(time_ms=1000.0, kind="disk-failure", disk=4)]
         )
-        record = run_nemesis_trial("pddl", schedule, seed=1)
+        record = run_nemesis_trial(
+            NemesisTrialSpec(layout="pddl", seed=1), schedule=schedule
+        )
         assert record["classification"] == "survived"
         assert record["completed_rebuild"] is True
         assert record["rebuild"]["steps_completed"] > 0
@@ -93,7 +99,9 @@ class TestClassification:
                 NemesisEvent(time_ms=4000.0, kind="disk-failure", disk=2),
             ]
         )
-        record = run_nemesis_trial("pddl", schedule, seed=2)
+        record = run_nemesis_trial(
+            NemesisTrialSpec(layout="pddl", seed=2), schedule=schedule
+        )
         assert record["classification"] == "survived"
         assert record["faults"]["active"] == []
         storm = [
@@ -104,8 +112,9 @@ class TestClassification:
 
     def test_trial_is_deterministic(self):
         schedule = NemesisSchedule.draw(17, n_disks=13, rows=26)
-        first = run_nemesis_trial("pddl", schedule, seed=17)
-        second = run_nemesis_trial("pddl", schedule, seed=17)
+        spec = NemesisTrialSpec(layout="pddl", seed=17)
+        first = run_nemesis_trial(spec, schedule=schedule)
+        second = run_nemesis_trial(spec, schedule=schedule)
         assert canonical_json(first) == canonical_json(second)
 
 
@@ -118,7 +127,8 @@ class TestSummarize:
             )
             records.append(
                 run_nemesis_trial(
-                    "pddl", spec_schedule, trial=trial, seed=9
+                    NemesisTrialSpec(layout="pddl", trial=trial, seed=9),
+                    schedule=spec_schedule,
                 )
             )
         summary = summarize_nemesis(records)

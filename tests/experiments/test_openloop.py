@@ -20,7 +20,9 @@ from repro.runner import (
 
 class TestTrialMechanics:
     def test_fault_free_trial_accounts_every_arrival(self):
-        record = run_openloop_trial("pddl", 300.0, arrivals=80)
+        record = run_openloop_trial(
+            OpenLoopSpec(layout="pddl", rate_per_s=300.0, arrivals=80)
+        )
         assert record["offered"] == 80
         assert record["completed"] + record["shed"] == 80
         assert record["truncated"] is False
@@ -30,7 +32,10 @@ class TestTrialMechanics:
 
     def test_degraded_phase_serves_in_degraded_mode(self):
         record = run_openloop_trial(
-            "raid5", 300.0, phase="degraded", arrivals=60
+            OpenLoopSpec(
+                layout="raid5", rate_per_s=300.0, phase="degraded",
+                arrivals=60,
+            )
         )
         assert set(record["modes"]) == {"degraded"}
         # The dwell outlasts the run: the rebuild never starts.
@@ -39,7 +44,10 @@ class TestTrialMechanics:
 
     def test_rebuild_phase_serves_mid_rebuild(self):
         record = run_openloop_trial(
-            "pddl", 300.0, phase="rebuild", arrivals=60
+            OpenLoopSpec(
+                layout="pddl", rate_per_s=300.0, phase="rebuild",
+                arrivals=60,
+            )
         )
         assert set(record["modes"]) == {"reconstruction"}
         # The throttled full-disk sweep outlasts the measurement window.
@@ -48,56 +56,73 @@ class TestTrialMechanics:
         assert 0.0 < record["rebuild"]["fraction"] < 1.0
 
     def test_rebuild_tail_dominates_fault_free_tail(self):
-        ff = run_openloop_trial("raid5", 450.0, arrivals=200)
+        ff = run_openloop_trial(
+            OpenLoopSpec(layout="raid5", rate_per_s=450.0, arrivals=200)
+        )
         rebuild = run_openloop_trial(
-            "raid5", 450.0, phase="rebuild", arrivals=200
+            OpenLoopSpec(
+                layout="raid5", rate_per_s=450.0, phase="rebuild",
+                arrivals=200,
+            )
         )
         assert rebuild["tail"]["p999_ms"] > ff["tail"]["p999_ms"]
 
     def test_overload_at_saturating_rate(self):
         record = run_openloop_trial(
-            "raid5",
-            900.0,
-            phase="rebuild",
-            arrivals=300,
-            queue_depth=32,
+            OpenLoopSpec(
+                layout="raid5",
+                rate_per_s=900.0,
+                phase="rebuild",
+                arrivals=300,
+                queue_depth=32,
+            )
         )
         assert record["overloaded"] is True
         assert record["shed"] > 0
 
     def test_horizon_truncates(self):
         record = run_openloop_trial(
-            "pddl", 100.0, arrivals=400, horizon_ms=500.0
+            OpenLoopSpec(
+                layout="pddl", rate_per_s=100.0, arrivals=400,
+                horizon_ms=500.0,
+            )
         )
         assert record["truncated"] is True
         assert record["completed"] + record["shed"] < 400
 
     def test_timelines_opt_in(self):
         record = run_openloop_trial(
-            "pddl", 400.0, arrivals=60, record_timelines=True
+            OpenLoopSpec(
+                layout="pddl", rate_per_s=400.0, arrivals=60, timelines=True
+            )
         )
         assert "timelines" in record
         assert record["timelines"]["queue_depth"]
-        lean = run_openloop_trial("pddl", 400.0, arrivals=60)
+        lean = run_openloop_trial(
+            OpenLoopSpec(layout="pddl", rate_per_s=400.0, arrivals=60)
+        )
         assert "timelines" not in lean
 
     def test_mmpp_and_trace_arrivals_run(self):
         for arrival in ("mmpp", "trace"):
             record = run_openloop_trial(
-                "datum", 300.0, arrival=arrival, arrivals=60
+                OpenLoopSpec(
+                    layout="datum", rate_per_s=300.0, arrival=arrival,
+                    arrivals=60,
+                )
             )
             assert record["arrival"] == arrival
             assert record["completed"] + record["shed"] == 60
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, phase="mid-air")
+            OpenLoopSpec(layout="pddl", rate_per_s=300.0, phase="mid-air")
         with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, arrivals=0)
+            OpenLoopSpec(layout="pddl", rate_per_s=300.0, arrivals=0)
         with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, arrival="constant")
+            OpenLoopSpec(layout="pddl", rate_per_s=300.0, arrival="constant")
         with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, horizon_ms=0.0)
+            OpenLoopSpec(layout="pddl", rate_per_s=300.0, horizon_ms=0.0)
 
 
 class TestSummary:
@@ -107,7 +132,10 @@ class TestSummary:
             for phase in ("ff", "rebuild"):
                 records.append(
                     run_openloop_trial(
-                        "raid5", rate, phase=phase, arrivals=300
+                        OpenLoopSpec(
+                            layout="raid5", rate_per_s=rate, phase=phase,
+                            arrivals=300,
+                        )
                     )
                 )
         summary = summarize_openloop(records)

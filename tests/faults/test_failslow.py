@@ -251,11 +251,14 @@ class TestNemesisFailslowKind:
 class TestNemesisTrialApplier:
     def _run(self, events, **kwargs):
         from repro.experiments.nemesistrial import run_nemesis_trial
+        from repro.runner.spec import NemesisTrialSpec
 
         schedule = NemesisSchedule.from_events(
             events, n_disks=13, rows=26
         )
-        return run_nemesis_trial("pddl", schedule, **kwargs)
+        return run_nemesis_trial(
+            NemesisTrialSpec(layout="pddl", **kwargs), schedule=schedule
+        )
 
     def test_failslow_applies_and_heals(self):
         record = self._run(

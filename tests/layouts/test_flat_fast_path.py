@@ -1,19 +1,22 @@
 """Registry-wide property test: flat fast-path tables == dict reference.
 
-``Layout.locate`` and ``Layout.data_unit_address`` were rewritten to
-index flat per-period tables (see the module docstring of
-``src/repro/layouts/base.py``); the original dict-keyed implementations
-survive as ``locate_reference`` / ``data_unit_address_reference``.  This
-test pins the two paths cell-for-cell equal for *every* registered
-layout, across multiple periods, including the error cases — so any new
-layout added to the registry is automatically held to the same contract.
+``Layout.locate`` and ``Layout.data_unit_address`` index flat per-period
+tables (see the module docstring of ``src/repro/layouts/base.py``); the
+dict-keyed reference model in ``reference_layout.py`` answers the same
+questions from the layout's forward map.  This test pins the two
+cell-for-cell equal for *every* registered layout, across multiple
+periods, including the error cases — so any new layout added to the
+registry is automatically held to the same contract.  A malformed
+layout must fail the table build with a named error.
 """
 
 import pytest
 
 from repro.errors import MappingError
-from repro.layouts.address import Role
+from repro.layouts.address import PhysicalAddress, Role, StripeUnits
+from repro.layouts.base import Layout
 from repro.layouts.registry import available_layouts, make_layout
+from tests.layouts.reference_layout import ReferenceLayout
 
 #: Canonical (n, k) per layout; the paper's 13-disk array, stripe width
 #: 4 for the declustered schemes (PDDL needs n = g*k + 1) and the whole
@@ -32,19 +35,21 @@ def layout(request):
 
 
 def test_data_unit_address_matches_reference(layout):
+    reference = ReferenceLayout(layout)
     units = int(layout.data_units_per_period * _PERIODS)
     for unit in range(units):
         assert layout.data_unit_address(unit) == (
-            layout.data_unit_address_reference(unit)
+            reference.data_unit_address(unit)
         ), f"{layout.name}: data unit {unit} diverged"
 
 
 def test_locate_matches_reference(layout):
+    reference = ReferenceLayout(layout)
     offsets = int(layout.period * _PERIODS)
     for disk in range(layout.n):
         for offset in range(offsets):
             assert layout.locate(disk, offset) == (
-                layout.locate_reference(disk, offset)
+                reference.locate(disk, offset)
             ), f"{layout.name}: cell ({disk}, {offset}) diverged"
 
 
@@ -59,11 +64,12 @@ def test_locate_roundtrips_data_units(layout):
 
 
 def test_error_cases_match_reference(layout):
-    for call in (layout.data_unit_address, layout.data_unit_address_reference):
+    reference = ReferenceLayout(layout)
+    for call in (layout.data_unit_address, reference.data_unit_address):
         with pytest.raises(MappingError):
             call(-1)
     for disk, offset in ((-1, 0), (layout.n, 0), (0, -1)):
-        for call in (layout.locate, layout.locate_reference):
+        for call in (layout.locate, reference.locate):
             with pytest.raises(MappingError):
                 call(disk, offset)
 
@@ -73,3 +79,57 @@ def test_data_unit_cell_is_address_core(layout):
     for unit in range(layout.data_units_per_period + 3):
         addr = layout.data_unit_address(unit)
         assert layout.data_unit_cell(unit) == (addr.disk, addr.offset)
+
+
+class _OneRowLayout(Layout):
+    """Three disks, one row: a single two-unit stripe plus the cells
+    handed in as spares — well formed only when they cover the rest."""
+
+    name = "one-row"
+
+    def __init__(self, stripe, spares):
+        super().__init__(3, 2)
+        self._stripe = stripe
+        self._spares = spares
+
+    @property
+    def period(self) -> int:
+        return 1
+
+    @property
+    def stripes_per_period(self) -> int:
+        return 1
+
+    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
+        data, check = self._stripe
+        return StripeUnits(
+            data=[PhysicalAddress(*data)], check=[PhysicalAddress(*check)]
+        )
+
+    def spare_addresses_in_period(self):
+        return [PhysicalAddress(*cell) for cell in self._spares]
+
+
+def test_well_formed_one_row_layout_builds():
+    layout = _OneRowLayout(((0, 0), (1, 0)), [(2, 0)])
+    layout.validate()
+    assert layout.locate(2, 0).role is Role.SPARE
+    assert layout.data_unit_cell(1) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "stripe, spares, message",
+    [
+        (((0, 0), (3, 0)), [(2, 0)], "outside the layout pattern"),
+        (((0, 0), (0, 1)), [(2, 0)], "outside the layout pattern"),
+        (((0, 0), (1, 0)), [(1, 0)], "mapped twice"),
+        (((0, 0), (1, 0)), [], "pattern covers 2 cells, expected 3"),
+    ],
+    ids=["disk-outside", "row-outside", "mapped-twice", "uncovered"],
+)
+def test_malformed_layout_fails_the_table_build(stripe, spares, message):
+    layout = _OneRowLayout(stripe, spares)
+    with pytest.raises(MappingError, match=message):
+        layout.validate()
+    with pytest.raises(MappingError, match=message):
+        layout.locate(0, 0)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -544,3 +545,39 @@ class TestPlan:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+
+#: Option surface of every subcommand, recorded before the sweep
+#: commands moved to shared runner-flag helpers.
+CLI_OPTIONS = Path(__file__).with_name("cli_options.json")
+
+
+def option_surface(parser) -> dict:
+    """Per subcommand, per dest: the attributes a user can observe."""
+    import argparse
+
+    subparsers = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            action.dest: {
+                "option_strings": list(action.option_strings),
+                "default": action.default,
+                "nargs": action.nargs,
+                "choices": (
+                    None if action.choices is None else list(action.choices)
+                ),
+                "type": getattr(action.type, "__name__", None),
+                "help": action.help,
+            }
+            for action in subparser._actions
+        }
+        for name, subparser in sorted(subparsers.choices.items())
+    }
+
+
+def test_option_surface_unchanged():
+    expected = json.loads(CLI_OPTIONS.read_text())
+    assert option_surface(build_parser()) == expected
