@@ -89,6 +89,7 @@ def run_response_point_instrumented(
     width: Optional[int] = None,
     record_timelines: bool = False,
     trace: Optional[TraceRecorder] = None,
+    layout=None,
 ) -> InstrumentedPoint:
     """Simulate one experiment point, keeping the run's observables.
 
@@ -97,12 +98,15 @@ def run_response_point_instrumented(
     policy exactly.  Every completed response (warmup included) lands in
     the returned latency histogram; the instrumentation record carries
     engine counters, per-disk busy time and queue-depth high-water marks
-    (plus full timelines when ``record_timelines`` is set).
+    (plus full timelines when ``record_timelines`` is set).  A shared
+    ``layout`` (the one ``layout_for`` would build for ``layout_name``,
+    ``disks`` and ``width``) skips the build and keeps its caches.
     """
     if clients < 1:
         raise ConfigurationError(f"need >= 1 client, got {clients}")
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
+    if layout is None:
+        layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,
         layout,

@@ -16,6 +16,13 @@ phase is single-direction (all reads or all writes), and
 ``(disk, is_write)``-keyed reference coalescer, with merging on and
 off — for the planned phase and, on fault-free reads, for the fused
 read path's flat cell list.
+
+The fused read builds its requests from ``data_unit_runs``, the cached
+runs of one in-period read shape plus a cycle shift.  Those requests
+must equal the reference coalescer applied to ``data_unit_cells``, for
+every registry layout and ``RelocatedView``, with merging on and off,
+for reads that wrap a period cycle and for the last addressable units,
+whether the shape is cached yet or not.
 """
 
 import random
@@ -27,6 +34,10 @@ from hypothesis import strategies as st
 
 from repro.array.controller import coalesce_phase
 from repro.array.raidops import ArrayMode, UnitOp, plan_access
+from repro.disk.drive import DiskRequest
+from repro.disk.hp2247 import make_hp2247
+from repro.layouts.address import PhysicalAddress, StripeUnits
+from repro.layouts.base import Layout
 from repro.layouts.registry import available_layouts, make_layout
 from repro.layouts.relocated import RelocatedView
 
@@ -160,6 +171,121 @@ def test_coalescer_matches_reference_on_arbitrary_ops(cells, is_write, merge):
     assert coalesce_phase(phase, is_write, 16, 3, 1, merge) == (
         reference_phase_requests(phase, 16, 3, 1, merge)
     )
+
+
+#: Sectors per 8 KB stripe unit, as the paper's array uses.
+_UNIT_SECTORS = 16
+
+
+@lru_cache(maxsize=None)
+def _units_per_disk() -> int:
+    return make_hp2247().geometry.total_sectors // _UNIT_SECTORS
+
+
+def _addressable_units(layout) -> int:
+    """The data units an HP 2247 array addresses (as the controller
+    computes them)."""
+    return _units_per_disk() // layout.period * layout.data_units_per_period
+
+
+class _ReversedRows(Layout):
+    """RAID-5 on 4 disks with stripe ``s`` of the pattern on row ``3 -
+    s``.  Consecutive data units on one disk sit on ever lower rows, so a
+    read's per-disk rows arrive unsorted; every registry layout lays
+    them out ascending, where the coalescer's sort is a no-op."""
+
+    name = "reversed-rows"
+    period = 4
+    stripes_per_period = 4
+
+    def __init__(self):
+        super().__init__(n=4, k=4)
+
+    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
+        row = self.period - 1 - stripe_index
+        check = stripe_index % self.n
+        return StripeUnits(
+            data=[
+                PhysicalAddress(d, row) for d in range(self.n) if d != check
+            ],
+            check=[PhysicalAddress(check, row)],
+        )
+
+
+_REVERSED = ("reversed-rows", None)
+
+
+@lru_cache(maxsize=None)
+def _read_layout(key):
+    return _ReversedRows() if key == _REVERSED else _resolve(key)
+
+
+def _requests_from_runs(layout, first_unit, count, merge):
+    runs, shift = layout.data_unit_runs(first_unit, count, merge)
+    return [
+        (
+            disk,
+            DiskRequest(
+                (row + shift) * _UNIT_SECTORS,
+                rows * _UNIT_SECTORS,
+                False,
+                9,
+                0,
+            ),
+        )
+        for disk, row, rows in runs
+    ]
+
+
+def _reference_read_requests(layout, first_unit, count, merge):
+    cells = layout.data_unit_cells(first_unit, count)
+    phase = [UnitOp(disk, offset, False) for disk, offset in cells]
+    return reference_phase_requests(phase, _UNIT_SECTORS, 9, 0, merge)
+
+
+@st.composite
+def _read_shapes(draw):
+    layout = _read_layout(draw(st.sampled_from(_LAYOUT_KEYS + [_REVERSED])))
+    per_period = layout.data_units_per_period
+    count = draw(
+        st.one_of(
+            st.integers(1, 3 * layout.data_per_stripe + 2),
+            st.integers(per_period - 2, per_period + 2),
+        )
+    )
+    last = _addressable_units(layout) - count
+    boundary = draw(st.integers(1, _CYCLES)) * per_period
+    first_unit = draw(
+        st.one_of(
+            st.integers(0, _CYCLES * per_period),
+            # Reads that end just past a period boundary.
+            st.integers(max(boundary - count, 0), boundary - 1),
+            # The last addressable units.
+            st.integers(max(last - per_period, 0), last),
+        )
+    )
+    return layout, first_unit, count, draw(st.booleans())
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_read_shapes(), st.integers(1, _CYCLES))
+def test_read_runs_match_reference_coalescer(case, cycles):
+    layout, first_unit, count, merge = case
+    # The same shape one or more cycles away must be served from the
+    # same cache entry with a different shift; and both merge settings
+    # must be kept apart.
+    later = first_unit + cycles * layout.data_units_per_period
+    for start in (first_unit, later, first_unit):
+        for flag in (merge, not merge):
+            got = _requests_from_runs(layout, start, count, flag)
+            want = _reference_read_requests(layout, start, count, flag)
+            assert got == want, (layout.name, start, count, flag)
+    slots = {slot for slot, _, _ in layout._runs_cache}
+    assert max(slots) < layout.data_units_per_period
 
 
 @pytest.mark.parametrize("key", _LAYOUT_KEYS, ids=str)

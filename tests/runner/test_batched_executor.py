@@ -9,6 +9,7 @@ never a semantic one.
 
 import pytest
 
+from repro.experiments.config import PAPER_LAYOUT_NAMES, layout_for
 from repro.runner import canonical_json, execute_spec
 from repro.runner.execute import BatchedTrialExecutor
 from repro.runner.spec import (
@@ -17,6 +18,7 @@ from repro.runner.spec import (
     ExperimentSpec,
     NemesisTrialSpec,
     OpenLoopSpec,
+    Table1Spec,
 )
 
 
@@ -65,6 +67,56 @@ class TestByteIdentity:
             assert canonical_json(record) == canonical_json(
                 by_hash[record["spec_hash"]]
             )
+
+
+def response_batch(layout):
+    """Fault-free reads on one layout, merging on and off, plus one
+    degraded point.  1280 KB is 160 stripe units, more than one period's
+    data units on pddl (117), raid5 and parity declustering (156), so
+    every such read there wraps a period cycle."""
+    specs = [
+        ExperimentSpec(
+            layout=layout,
+            size_kb=size_kb,
+            clients=3,
+            seed=seed,
+            max_samples=24,
+            warmup=4,
+            coalesce=coalesce,
+        )
+        for coalesce in (True, False)
+        for size_kb, seed in ((96, 1), (96, 2), (1280, 3))
+    ]
+    specs.append(
+        ExperimentSpec(
+            layout=layout, size_kb=96, clients=3, mode="f1",
+            failed_disk=2, max_samples=24, warmup=4,
+        )
+    )
+    return specs
+
+
+class TestResponseBatching:
+    def test_wrapping_size_wraps_a_cycle(self):
+        for name in ("pddl", "raid5", "parity-declustering"):
+            assert layout_for(name).data_units_per_period < 1280 // 8
+
+    @pytest.mark.parametrize("layout", PAPER_LAYOUT_NAMES)
+    def test_warm_templates_match_cold_records(self, layout):
+        # Each spec runs twice through one executor: the second pass
+        # reads every read shape from the shared layout's warm cache.
+        specs = response_batch(layout)
+        cold = [execute_spec(spec) for spec in specs]
+        executor = BatchedTrialExecutor()
+        batched = executor.run(specs + specs)
+        assert canonical_json(batched) == canonical_json(cold + cold)
+        assert executor.trials_executed == 2 * len(specs)
+        assert len(executor._layouts) == 1
+        events = sum(
+            r["instrumentation"]["engine"]["events_processed"]
+            for r in batched
+        )
+        assert executor.events_processed == events
 
 
 class TestAmortization:
@@ -131,9 +183,7 @@ class TestAmortization:
         assert executor.events_processed == sum(events)
 
     def test_non_batchable_kinds_fall_through(self):
-        spec = ExperimentSpec(
-            layout="pddl", size_kb=96, clients=8, max_samples=10
-        )
+        spec = Table1Spec(k=4, g=1, restarts=1, max_steps=50)
         executor = BatchedTrialExecutor()
         record = executor.execute(spec)
         assert canonical_json(record) == canonical_json(execute_spec(spec))
